@@ -1043,13 +1043,11 @@ impl AccelEngine {
             None => None,
         };
         let mut out = Vec::new();
+        let mut vis = self.txns.run_visibility(snap);
         for (si, slice_lock) in t.slices().iter().enumerate() {
             let slice = slice_lock.read();
             for pos in 0..slice.version_count() {
-                if !self
-                    .txns
-                    .version_visible(slice.created[pos], slice.deleted[pos], &snap)
-                {
+                if !vis.visible(slice.created[pos], slice.deleted[pos]) {
                     continue;
                 }
                 let row = slice.row_at(pos);

@@ -17,14 +17,15 @@
 
 use crate::column::{Column, NullMap};
 use crate::engine::AccelEngine;
-use crate::mvcc::Snapshot;
+use crate::mvcc::{RunVisibility, Snapshot};
 use crate::table::{AccelTable, Slice, ZoneEntry, BLOCK_ROWS};
 use idaa_common::wire::{key_hash_i64, key_hash_str, KeySummary};
-use idaa_common::{ColumnDef, Result, Row, Rows, Schema, Value};
+use idaa_common::{ColumnDef, Error, Result, Row, Rows, Schema, Value};
 use idaa_sql::ast::{BinaryOp, Expr, JoinKind};
 use idaa_sql::eval::{bind, eval, eval_predicate, AggState, BoundExpr, FlatResolver};
-use idaa_sql::plan::{Plan, PlanCol, PlanProfile};
-use std::collections::HashMap;
+use idaa_sql::plan::{AggCall, Plan, PlanCol, PlanProfile};
+use parking_lot::RwLock;
+use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::Ordering;
 
@@ -34,20 +35,42 @@ const TOPK_MAX: u64 = 1024;
 
 /// Run `f(0)..f(parts-1)` on scoped worker threads and return the results
 /// in part order. The fixed partition order is what keeps every parallel
-/// operator deterministic for a given configuration.
-fn run_parts<T, F>(parts: usize, f: F) -> Vec<T>
+/// operator deterministic for a given configuration. A worker that panics
+/// fails the statement with an internal error (SQLCODE -901) instead of
+/// taking the process down; every worker is joined before this returns.
+fn run_parts<T, F>(parts: usize, f: F) -> Result<Vec<T>>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
     if parts <= 1 {
-        return (0..parts).map(f).collect();
+        return Ok((0..parts).map(f).collect());
     }
     std::thread::scope(|scope| {
         let fr = &f;
         let handles: Vec<_> = (0..parts).map(|i| scope.spawn(move || fr(i))).collect();
-        handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
+        let joined: Vec<std::thread::Result<T>> = handles.into_iter().map(|h| h.join()).collect();
+        joined
+            .into_iter()
+            .map(|r| r.map_err(|_| Error::internal("accelerator worker thread panicked")))
+            .collect()
     })
+}
+
+/// Run `f` over every slice of a table — one worker per slice when the
+/// engine is parallel, else serially — returning results in slice order.
+/// Every slice runs either way; the first error in slice order wins.
+fn per_slice<T, F>(ctx: &ExecCtx, slices: &[RwLock<Slice>], f: F) -> Result<Vec<T>>
+where
+    T: Send,
+    F: Fn(&RwLock<Slice>) -> Result<T> + Sync,
+{
+    let results: Vec<Result<T>> = if ctx.engine.config.parallel {
+        run_parts(slices.len(), |si| f(&slices[si]))?
+    } else {
+        slices.iter().map(f).collect()
+    };
+    results.into_iter().collect()
 }
 
 /// Which execution pipeline the accelerator uses for scans and fused
@@ -169,7 +192,9 @@ fn run_masked_inner(plan: &Plan, ctx: &ExecCtx, needed: Option<Vec<bool>>) -> Re
                 .map(|row| bound.iter().map(|b| eval(b, &row)).collect())
                 .collect()
         }
-        Plan::Join { left, right, kind, on } => run_join(plan, left, right, *kind, on, ctx),
+        Plan::Join { left, right, kind, on } => {
+            run_join(plan, left, right, *kind, on, ctx, needed)
+        }
         Plan::Aggregate { input, group_exprs, aggs, .. } => {
             if let Some(rows) = try_fused_aggregate(plan, input, group_exprs, aggs, ctx)? {
                 return Ok(rows);
@@ -665,18 +690,53 @@ fn select_block(
     slice: &Slice,
     b: usize,
     total: usize,
-    engine: &AccelEngine,
-    snap: &Snapshot,
+    vis: &mut RunVisibility,
 ) -> (usize, usize) {
     let start = b * BLOCK_ROWS;
     let end = (start + BLOCK_ROWS).min(total);
     sel.clear();
     for pos in start..end {
-        if engine.txns.version_visible(slice.created[pos], slice.deleted[pos], snap) {
+        if vis.visible(slice.created[pos], slice.deleted[pos]) {
             sel.push(pos as u32);
         }
     }
     (start, end)
+}
+
+/// The per-slice batch loop every vectorized scan shares: count each
+/// block, skip it when a zone map proves it empty, fill the selection with
+/// its visible positions, let each kernel compact the selection, and hand
+/// the survivors to `visit`. Returns the number of batches visited.
+fn for_each_block(
+    slice: &Slice,
+    kernels: &[Kernel],
+    ctx: &ExecCtx,
+    mut visit: impl FnMut(&mut Vec<u32>) -> Result<()>,
+) -> Result<u64> {
+    let engine = ctx.engine;
+    let spec: Vec<SpecKernel> = kernels.iter().map(|k| k.specialize(slice)).collect();
+    let mut vis = engine.txns.run_visibility(ctx.snap);
+    let total = slice.version_count();
+    let mut sel: Vec<u32> = Vec::with_capacity(BLOCK_ROWS.min(total));
+    let mut batches = 0u64;
+    for b in 0..slice.block_count() {
+        engine.stats.blocks_scanned.fetch_add(1, Ordering::Relaxed);
+        if engine.config.zone_maps && zone_prunes(kernels, slice, b) {
+            engine.stats.blocks_pruned.fetch_add(1, Ordering::Relaxed);
+            continue;
+        }
+        batches += 1;
+        let (start, end) = select_block(&mut sel, slice, b, total, &mut vis);
+        for k in &spec {
+            if sel.is_empty() {
+                break;
+            }
+            k.filter(&mut sel);
+        }
+        visit(&mut sel)?;
+        engine.stats.rows_scanned.fetch_add((end - start) as u64, Ordering::Relaxed);
+    }
+    Ok(batches)
 }
 
 fn scan_filtered_with(
@@ -731,95 +791,58 @@ fn scan_filtered_with(
         }
     };
 
-    let engine = ctx.engine;
-    let use_zones = engine.config.zone_maps;
-    let snap = ctx.snap;
-    let slices = table.slices();
     // Late materialization: with no interpreted residual left, survivors
     // are assembled column-at-a-time by projection kernels instead of the
     // per-row loop. Interpreted mode keeps the row loop as the oracle.
     let late_mat = ctx.mode == ExecMode::Vectorized && residual.is_none();
 
-    // Per slice: build a block-sized selection vector of visible positions,
-    // let each kernel compact it in turn, then materialize (and residual-
-    // check) only the survivors, in ascending position order — the same
-    // output order as the old per-row loop, without its per-row dispatch.
-    let scan_one = |slice_lock: &parking_lot::RwLock<Slice>| -> Result<(Vec<Row>, u64)> {
+    // Per slice: materialize (and residual-check) only the kernel
+    // survivors of each block, in ascending position order — the same
+    // output order as a per-row loop, without its per-row dispatch.
+    let scan_one = |slice_lock: &RwLock<Slice>| -> Result<(Vec<Row>, u64)> {
         let slice = slice_lock.read();
-        let spec: Vec<SpecKernel> = kernels.iter().map(|k| k.specialize(&slice)).collect();
         let probe: Option<SpecProbe> = prefilter.map(|pf| pf.specialize(&slice));
-        let total = slice.version_count();
         let mut out = Vec::new();
-        let mut sel: Vec<u32> = Vec::with_capacity(BLOCK_ROWS.min(total));
-        let mut batches = 0u64;
-        let blocks = slice.block_count();
-        for b in 0..blocks {
-            engine.stats.blocks_scanned.fetch_add(1, Ordering::Relaxed);
-            if use_zones && zone_prunes(&kernels, &slice, b) {
-                engine.stats.blocks_pruned.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            batches += 1;
-            let (start, end) = select_block(&mut sel, &slice, b, total, engine, &snap);
-            for k in &spec {
-                if sel.is_empty() {
-                    break;
-                }
-                k.filter(&mut sel);
-            }
+        let batches = for_each_block(&slice, &kernels, ctx, |sel| {
             // The derived join-filter runs after the scan's own kernels: it
             // only shrinks the selection, never prunes blocks, so every
             // stats counter stays identical with and without it.
             if let Some(p) = &probe {
                 if !sel.is_empty() {
-                    p.filter(&mut sel);
+                    p.filter(sel);
                 }
             }
             if late_mat {
-                materialize_block(&slice, &sel, mask.as_deref(), &mut out);
-            } else {
-                for &p in &sel {
-                    let pos = p as usize;
-                    let row: Row = match &mask {
-                        None => slice.row_at(pos),
-                        Some(m) => slice
-                            .columns
-                            .iter()
-                            .enumerate()
-                            .map(|(i, c)| if m[i] { c.get(pos) } else { Value::Null })
-                            .collect(),
-                    };
-                    if let Some(res) = &residual {
-                        if !eval_predicate(res, &row)? {
-                            continue;
-                        }
-                    }
-                    out.push(row);
-                }
+                materialize_block(&slice, sel, mask.as_deref(), &mut out);
+                return Ok(());
             }
-            engine
-                .stats
-                .rows_scanned
-                .fetch_add((end - start) as u64, Ordering::Relaxed);
-        }
+            for &p in sel.iter() {
+                let pos = p as usize;
+                let row: Row = match &mask {
+                    None => slice.row_at(pos),
+                    Some(m) => slice
+                        .columns
+                        .iter()
+                        .enumerate()
+                        .map(|(i, c)| if m[i] { c.get(pos) } else { Value::Null })
+                        .collect(),
+                };
+                if let Some(res) = &residual {
+                    if !eval_predicate(res, &row)? {
+                        continue;
+                    }
+                }
+                out.push(row);
+            }
+            Ok(())
+        })?;
         Ok((out, batches))
     };
 
-    let results: Vec<Result<(Vec<Row>, u64)>> = if engine.config.parallel && slices.len() > 1 {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = slices
-                .iter()
-                .map(|s| scope.spawn(|| scan_one(s)))
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("scan thread panicked")).collect()
-        })
-    } else {
-        slices.iter().map(&scan_one).collect()
-    };
+    let results = per_slice(ctx, table.slices(), scan_one)?;
     let mut out = Vec::new();
     let mut batches = 0u64;
-    for r in results {
-        let (rows, b) = r?;
+    for (rows, b) in results {
         out.extend(rows);
         batches += b;
     }
@@ -976,9 +999,20 @@ enum KeyLayout {
     Generic,
 }
 
+impl KeyLayout {
+    /// The layout as `EXPLAIN`'s PIPELINE line names it.
+    fn describe(self) -> &'static str {
+        match self {
+            KeyLayout::I64 => "typed i64 keys",
+            KeyLayout::Str => "typed string keys",
+            KeyLayout::Generic => "generic keys",
+        }
+    }
+}
+
 /// One row's join key under a [`KeyLayout`]. Both sides of a join always
 /// share a layout, so equality never compares across variants.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum JoinKey {
     I64(i64),
     /// Trailing blanks already trimmed (DB2 padded CHAR comparison).
@@ -1056,20 +1090,28 @@ fn try_extract_keys(keys: &[BoundExpr], rows: &[Row], layout: KeyLayout) -> Resu
     let key_expr = &keys[0];
     let mut out: Keyed = Vec::with_capacity(rows.len());
     for row in rows {
-        let k = match (layout, eval(key_expr, row)?) {
-            (_, Value::Null) => None,
-            (KeyLayout::I64, Value::SmallInt(x)) => Some(JoinKey::I64(x as i64)),
-            (KeyLayout::I64, Value::Int(x)) => Some(JoinKey::I64(x as i64)),
-            (KeyLayout::I64, Value::BigInt(x)) => Some(JoinKey::I64(x)),
-            (KeyLayout::Str, Value::Varchar(mut s)) => {
-                s.truncate(s.trim_end_matches(' ').len());
-                Some(JoinKey::Str(s))
-            }
-            _ => return Ok(None),
-        };
+        let Some(k) = key_of(layout, eval(key_expr, row)?) else { return Ok(None) };
         out.push(k.map(|k| (k.key_hash(), k)));
     }
     Ok(Some(out))
+}
+
+/// One single-column key value under `layout`: `Some(None)` for NULL (SQL
+/// join keys never match on NULL), `None` when the value falls outside the
+/// layout's class.
+fn key_of(layout: KeyLayout, v: Value) -> Option<Option<JoinKey>> {
+    Some(match (layout, v) {
+        (_, Value::Null) => None,
+        (KeyLayout::I64, Value::SmallInt(x)) => Some(JoinKey::I64(x as i64)),
+        (KeyLayout::I64, Value::Int(x)) => Some(JoinKey::I64(x as i64)),
+        (KeyLayout::I64, Value::BigInt(x)) => Some(JoinKey::I64(x)),
+        (KeyLayout::Str, Value::Varchar(mut s)) => {
+            s.truncate(s.trim_end_matches(' ').len());
+            Some(JoinKey::Str(s))
+        }
+        (KeyLayout::Generic, v) => Some(JoinKey::Row(vec![v])),
+        _ => return None,
+    })
 }
 
 /// Generic key extraction: the full `Vec<Value>` tuple per row, evaluated
@@ -1215,11 +1257,16 @@ fn derive_probe_filter(
 /// Execute the probe side of a join with a derived join-filter pushed into
 /// its scan (shapes pre-checked by [`derive_probe_filter`]; anything else
 /// falls back to the plain path).
-fn run_probe_scan(left: &Plan, ctx: &ExecCtx, pf: &ProbeFilter) -> Result<Vec<Row>> {
+fn run_probe_scan(
+    left: &Plan,
+    ctx: &ExecCtx,
+    pf: &ProbeFilter,
+    needed: Option<Vec<bool>>,
+) -> Result<Vec<Row>> {
     let rows = match left {
         Plan::Scan { table, .. } => {
             let t = ctx.engine.table(table)?;
-            scan_filtered_with(&t, None, ctx, None, Some(left), Some(pf))?
+            scan_filtered_with(&t, None, ctx, needed, Some(left), Some(pf))?
         }
         Plan::Filter { input, predicate }
             if matches!(input.as_ref(), Plan::Scan { .. }) =>
@@ -1227,9 +1274,9 @@ fn run_probe_scan(left: &Plan, ctx: &ExecCtx, pf: &ProbeFilter) -> Result<Vec<Ro
             let Plan::Scan { table, .. } = input.as_ref() else { unreachable!() };
             let t = ctx.engine.table(table)?;
             let cols = input.cols();
-            scan_filtered_with(&t, Some((predicate, &cols)), ctx, None, Some(left), Some(pf))?
+            scan_filtered_with(&t, Some((predicate, &cols)), ctx, needed, Some(left), Some(pf))?
         }
-        _ => return run_masked(left, ctx, None),
+        _ => return run_masked(left, ctx, needed),
     };
     if let Some(prof) = ctx.profile {
         prof.record(left, rows.len() as u64);
@@ -1244,6 +1291,7 @@ fn run_join(
     kind: JoinKind,
     on: &Expr,
     ctx: &ExecCtx,
+    needed: Option<Vec<bool>>,
 ) -> Result<Vec<Row>> {
     let lcols = left.cols();
     let rcols = right.cols();
@@ -1257,15 +1305,43 @@ fn run_join(
     // whole predicate — matched candidates skip the per-row ON re-check.
     let on_covered = lkeys.len() == total_conjs;
 
+    let lwidth = lcols.len();
     let rwidth = rcols.len();
     let workers = ctx.engine.config.workers();
 
+    // Projection pushdown through the join: each side materializes the
+    // columns the caller reads of it, its equi-key columns, and — unless
+    // key equality covers the whole ON predicate — the ON columns.
+    let (lmask, rmask) = match &needed {
+        None => (None, None),
+        Some(m) => {
+            let mut on_cols = HashSet::new();
+            if !on_covered {
+                bound_on.collect_columns(&mut on_cols);
+            }
+            let side = |off: usize, width: usize, keys: &[BoundExpr]| -> Vec<bool> {
+                let mut key_cols = HashSet::new();
+                for k in keys {
+                    k.collect_columns(&mut key_cols);
+                }
+                (0..width)
+                    .map(|i| {
+                        m.get(off + i).copied().unwrap_or(false)
+                            || on_cols.contains(&(off + i))
+                            || key_cols.contains(&i)
+                    })
+                    .collect()
+            };
+            (Some(side(0, lwidth, &lkeys)), Some(side(lwidth, rwidth, &rkeys)))
+        }
+    };
+
     // Build side (right) first: its finished key digest can pre-filter the
     // probe-side scan before any probe row materializes.
-    let rrows = run_masked(right, ctx, None)?;
+    let rrows = run_masked(right, ctx, rmask)?;
 
     if lkeys.is_empty() {
-        let lrows = run_masked(left, ctx, None)?;
+        let lrows = run_masked(left, ctx, lmask)?;
         return nested_loop_join(&lrows, &rrows, kind, &bound_on, rwidth, workers);
     }
 
@@ -1280,8 +1356,8 @@ fn run_join(
 
     let prefilter = derive_probe_filter(left, &lkeys, layout, kind, ctx.mode, &rkeyed);
     let lrows = match &prefilter {
-        Some(pf) => run_probe_scan(left, ctx, pf)?,
-        None => run_masked(left, ctx, None)?,
+        Some(pf) => run_probe_scan(left, ctx, pf, lmask)?,
+        None => run_masked(left, ctx, lmask)?,
     };
 
     let lkeyed = match try_extract_keys(&lkeys, &lrows, layout)? {
@@ -1381,7 +1457,7 @@ fn hash_join(
             }
         }
         Ok((out, skipped))
-    });
+    })?;
     let mut out = Vec::new();
     let mut skipped = 0u64;
     for r in results {
@@ -1424,7 +1500,7 @@ fn nested_loop_join(
             }
         }
         Ok(out)
-    });
+    })?;
     let mut out = Vec::new();
     for r in results {
         out.extend(r?);
@@ -1432,10 +1508,19 @@ fn nested_loop_join(
     Ok(out)
 }
 
+/// Where a fused group key or aggregate argument reads from: a column of
+/// the probe-side scan, or a column of the materialized build rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Src {
+    Probe(usize),
+    Build(usize),
+}
+
 /// One aggregate argument in a fused pipeline.
 enum FusedArg {
     Star,
-    Col(usize),
+    Col(Src),
+    /// A scalar expression over probe-side columns.
     Expr(BoundExpr),
 }
 
@@ -1448,7 +1533,8 @@ enum ArgSlot<'a> {
     Star,
     I64 { vals: &'a [i64], nulls: &'a NullMap, native: fn(i64) -> Value },
     F64 { vals: &'a [f64], nulls: &'a NullMap },
-    Generic(usize),
+    Generic(&'a Column),
+    Build(usize),
     Expr(&'a BoundExpr),
 }
 
@@ -1457,7 +1543,8 @@ impl<'a> ArgSlot<'a> {
         match arg {
             FusedArg::Star => ArgSlot::Star,
             FusedArg::Expr(b) => ArgSlot::Expr(b),
-            FusedArg::Col(i) => {
+            FusedArg::Col(Src::Build(i)) => ArgSlot::Build(*i),
+            FusedArg::Col(Src::Probe(i)) => {
                 let c = &slice.columns[*i];
                 // `native` must rebuild exactly what `Column::get` renders
                 // for the declared type, or typed accumulation drifts from
@@ -1476,107 +1563,388 @@ impl<'a> ArgSlot<'a> {
                     (_, Some(vals), _) if c.data_type == idaa_common::DataType::Double => {
                         ArgSlot::F64 { vals, nulls: &c.nulls }
                     }
-                    _ => ArgSlot::Generic(*i),
+                    _ => ArgSlot::Generic(c),
                 }
             }
         }
     }
+
+    /// Feed probe position `pos`, joined with build row `brow` (empty
+    /// without a join), into `state`. `scratch` holds the columns
+    /// expression arguments read.
+    #[inline]
+    fn feed(&self, state: &mut AggState, pos: usize, brow: &[Value], scratch: &Row) -> Result<()> {
+        match self {
+            ArgSlot::Star => state.update(&Value::Null),
+            ArgSlot::I64 { vals, nulls, native } => {
+                if nulls.is_null(pos) {
+                    Ok(())
+                } else {
+                    state.update_i64(vals[pos], *native)
+                }
+            }
+            ArgSlot::F64 { vals, nulls } => {
+                if nulls.is_null(pos) {
+                    Ok(())
+                } else {
+                    state.update_f64(vals[pos])
+                }
+            }
+            ArgSlot::Generic(c) => state.update(&c.get(pos)),
+            ArgSlot::Build(i) => state.update(&brow[*i]),
+            ArgSlot::Expr(b) => state.update(&eval(b, scratch)?),
+        }
+    }
 }
 
-/// A fully compiled fused scan→filter→aggregate pipeline. Produced by
-/// [`compile_fused`]; `None` from there means the plan takes the
-/// interpreted [`run_aggregate`] path instead.
-struct FusedPipeline {
+/// The INNER equi-join a fused star-join aggregate absorbs. The build side
+/// still runs as an ordinary operator; the probe side is the fused scan,
+/// which looks each surviving position's key up in the build index.
+struct FusedJoin<'p> {
+    build: &'p Plan,
+    /// Probe key ordinal in the scan's schema.
+    probe_col: usize,
+    /// Build key ordinal in the build plan's output.
+    build_col: usize,
+    layout: KeyLayout,
+    /// Build columns the aggregate reads, plus the key (projection
+    /// pushdown into the build side).
+    build_mask: Vec<bool>,
+}
+
+/// A fully compiled fused pipeline: scan→filter→aggregate, optionally with
+/// an INNER join folded in between. Produced by [`compile_fused`]; `None`
+/// from there means the plan takes the unfused path instead.
+struct FusedPipeline<'p> {
     table: std::sync::Arc<AccelTable>,
-    key_ords: Vec<usize>,
+    keys: Vec<Src>,
     args: Vec<FusedArg>,
-    /// Ordinals any expression argument reads (scratch-row fill list).
+    /// Probe ordinals any expression argument reads (scratch-row fill list).
     expr_cols: Vec<usize>,
     kernels: Vec<Kernel>,
+    join: Option<FusedJoin<'p>>,
 }
 
-/// Check whether `Aggregate(input)` can run fused, and compile it if so:
-/// the input must be `Scan` or `Filter(Scan)`, every group key a bare
-/// column, every aggregate argument bindable against the scan, and the
-/// whole predicate must compile to kernels.
-fn compile_fused(
-    input: &Plan,
+/// Check whether `Aggregate(input)` can run fused, and compile it if so.
+/// The probe input must be `Scan` or `Filter(Scan)` whose whole predicate
+/// compiles to kernels — either directly under the aggregate or as the left
+/// side of an INNER join whose ON is one typed (i64 or string) equi-key.
+/// Group keys must be bare columns of either side; aggregate arguments may
+/// also be scalar expressions over probe columns (CAST, arithmetic, …),
+/// evaluated against a scratch row holding only the columns they read.
+fn compile_fused<'p>(
+    input: &'p Plan,
     group_exprs: &[Expr],
-    aggs: &[idaa_sql::plan::AggCall],
+    aggs: &[AggCall],
     engine: &AccelEngine,
-) -> Result<Option<FusedPipeline>> {
-    let (table_name, predicate, scan_cols) = match input {
-        Plan::Scan { table, cols, .. } if !cols.is_empty() => (table, None, cols.clone()),
+) -> Result<Option<FusedPipeline<'p>>> {
+    let (probe, joined) = match input {
+        Plan::Join { left, right, kind: JoinKind::Inner, on } => {
+            (left.as_ref(), Some((right.as_ref(), on)))
+        }
+        _ => (input, None),
+    };
+    let (table_name, predicate, scan_cols) = match probe {
+        Plan::Scan { table, cols, .. } if !cols.is_empty() => (table, None, cols),
         Plan::Filter { input: inner, predicate } => match inner.as_ref() {
-            Plan::Scan { table, cols, .. } if !cols.is_empty() => {
-                (table, Some(predicate), cols.clone())
-            }
+            Plan::Scan { table, cols, .. } if !cols.is_empty() => (table, Some(predicate), cols),
             _ => return Ok(None),
         },
         _ => return Ok(None),
     };
     let table = engine.table(table_name)?;
-    // Group keys must be bare columns of the scan; aggregate arguments may
-    // additionally be scalar expressions over scan columns (CAST, arithmetic
-    // on a column, …) — those evaluate against a scratch row holding only
-    // the columns the expression reads.
-    let resolver = resolver_of(&scan_cols);
-    let mut key_ords = Vec::with_capacity(group_exprs.len());
+    // Keys and arguments bind against the aggregate's input row — probe
+    // columns first, then build columns — exactly as the interpreter's.
+    let pwidth = scan_cols.len();
+    let src = |i: usize| if i < pwidth { Src::Probe(i) } else { Src::Build(i - pwidth) };
+    let resolver = resolver_of(&input.cols());
+    let mut keys = Vec::with_capacity(group_exprs.len());
     for g in group_exprs {
-        match bind(g, &resolver) {
-            Ok(b) => match b.as_column() {
-                Some(i) => key_ords.push(i),
-                None => return Ok(None),
-            },
-            Err(_) => return Ok(None),
+        match bind(g, &resolver).ok().and_then(|b| b.as_column()) {
+            Some(i) => keys.push(src(i)),
+            None => return Ok(None),
         }
     }
     let mut args: Vec<FusedArg> = Vec::with_capacity(aggs.len());
-    let mut expr_cols: std::collections::HashSet<usize> = std::collections::HashSet::new();
+    let mut expr_cols: HashSet<usize> = HashSet::new();
     for a in aggs {
-        match &a.arg {
-            None => args.push(FusedArg::Star),
-            Some(e) => match bind(e, &resolver) {
-                Ok(b) => match b.as_column() {
-                    Some(i) => args.push(FusedArg::Col(i)),
-                    None => {
-                        b.collect_columns(&mut expr_cols);
-                        args.push(FusedArg::Expr(b));
-                    }
-                },
-                Err(_) => return Ok(None),
-            },
+        let Some(e) = &a.arg else {
+            args.push(FusedArg::Star);
+            continue;
+        };
+        let Ok(b) = bind(e, &resolver) else { return Ok(None) };
+        match b.as_column() {
+            Some(i) => args.push(FusedArg::Col(src(i))),
+            None => {
+                let mut cols = HashSet::new();
+                b.collect_columns(&mut cols);
+                if cols.iter().any(|&c| c >= pwidth) {
+                    return Ok(None);
+                }
+                expr_cols.extend(cols);
+                args.push(FusedArg::Expr(b));
+            }
         }
     }
-    let expr_cols: Vec<usize> = {
-        let mut v: Vec<usize> = expr_cols.into_iter().collect();
-        v.sort_unstable();
-        v
-    };
+    let mut expr_cols: Vec<usize> = expr_cols.into_iter().collect();
+    expr_cols.sort_unstable();
     // The whole predicate must compile to kernels.
     let mut kernels: Vec<Kernel> = Vec::new();
     if let Some(pred) = predicate {
         for conj in idaa_host_conjuncts(pred) {
-            match compile_kernel(conj, &table, &scan_cols) {
+            match compile_kernel(conj, &table, scan_cols) {
                 Some(k) => kernels.push(k),
                 None => return Ok(None),
             }
         }
     }
-    Ok(Some(FusedPipeline { table, key_ords, args, expr_cols, kernels }))
+    let join = match joined {
+        None => None,
+        Some((build, on)) => {
+            let bcols = build.cols();
+            let (pkeys, bkeys, conjs) =
+                equi_keys(on, &resolver_of(scan_cols), &resolver_of(&bcols));
+            // `key_layout` is typed only for one bare-column key pair.
+            let layout = key_layout(&pkeys, scan_cols, &bkeys, &bcols);
+            if conjs != 1 || layout == KeyLayout::Generic {
+                return Ok(None);
+            }
+            let (Some(probe_col), Some(build_col)) = (pkeys[0].as_column(), bkeys[0].as_column())
+            else {
+                return Ok(None);
+            };
+            let mut build_mask = vec![false; bcols.len()];
+            build_mask[build_col] = true;
+            let arg_srcs = args.iter().filter_map(|a| match a {
+                FusedArg::Col(s) => Some(s),
+                _ => None,
+            });
+            for s in keys.iter().chain(arg_srcs) {
+                if let Src::Build(i) = s {
+                    build_mask[*i] = true;
+                }
+            }
+            Some(FusedJoin { build, probe_col, build_col, layout, build_mask })
+        }
+    };
+    Ok(Some(FusedPipeline { table, keys, args, expr_cols, kernels, join }))
 }
 
-/// Fused vectorized aggregation: when the plan is `Aggregate(Filter(Scan))`
-/// (or `Aggregate(Scan)`), every group key and aggregate argument is a bare
-/// column, and the whole predicate compiles to kernels, aggregate states are
-/// fed *directly from the column vectors* over the surviving selection
-/// vector — no row materialization, no per-row expression interpretation.
-/// This is the accelerator's bread and butter for reporting queries.
+/// The build side of a fused star join: its rows, and for each key the
+/// matching build-row ids in build order — the order `hash_join` emits
+/// matches in.
+struct BuildIndex {
+    rows: Vec<Row>,
+    layout: KeyLayout,
+    index: HashMap<JoinKey, Vec<u32>>,
+}
+
+impl BuildIndex {
+    fn new(rows: Vec<Row>, join: &FusedJoin) -> Result<BuildIndex> {
+        let key = [BoundExpr::Column(join.build_col)];
+        // A build value outside the declared layout's class falls the join
+        // back to generic keys, as in `run_join`.
+        let (layout, keyed) = match try_extract_keys(&key, &rows, join.layout)? {
+            Some(k) => (join.layout, k),
+            None => (KeyLayout::Generic, extract_generic(&key, &rows)?),
+        };
+        let mut index: HashMap<JoinKey, Vec<u32>> = HashMap::new();
+        for (i, k) in keyed.into_iter().enumerate() {
+            if let Some((_, key)) = k {
+                index.entry(key).or_default().push(i as u32);
+            }
+        }
+        Ok(BuildIndex { rows, layout, index })
+    }
+
+    /// Build rows whose key equals the probe value `v`. NULL matches
+    /// nothing; so would a value outside the layout's class, which a
+    /// probe column of the declared key type never holds.
+    fn matches(&self, v: Value) -> &[u32] {
+        match key_of(self.layout, v) {
+            Some(Some(key)) => self.index.get(&key).map_or(&[], Vec::as_slice),
+            _ => &[],
+        }
+    }
+}
+
+/// A fused join's probe key resolved against one slice's column vectors.
+enum SpecJoin<'a> {
+    /// Integer keys look the index up directly, building no [`Value`].
+    I64 { vals: &'a [i64], nulls: &'a NullMap, build: &'a BuildIndex },
+    /// Dictionary-coded keys resolve each distinct code once (as
+    /// [`SpecProbe::Dict`] does), then match rows by code.
+    Dict { codes: &'a [u32], nulls: &'a NullMap, hits: Vec<&'a [u32]> },
+    /// Anything else (only under the generic fallback layout).
+    Generic { col: &'a Column, build: &'a BuildIndex },
+}
+
+impl<'a> SpecJoin<'a> {
+    fn new(build: &'a BuildIndex, slice: &'a Slice, col: usize) -> SpecJoin<'a> {
+        let c = &slice.columns[col];
+        match (build.layout, c.i64_data(), c.str_codes(), c.dictionary()) {
+            (KeyLayout::I64, Some(vals), _, _) => SpecJoin::I64 { vals, nulls: &c.nulls, build },
+            (_, _, Some(codes), Some(dict)) => SpecJoin::Dict {
+                codes,
+                nulls: &c.nulls,
+                hits: dict.iter().map(|v| build.matches(Value::Varchar(v.clone()))).collect(),
+            },
+            _ => SpecJoin::Generic { col: c, build },
+        }
+    }
+
+    /// Build-row ids joining probe position `p`, in build order.
+    #[inline]
+    fn matches(&self, p: usize) -> &'a [u32] {
+        match self {
+            SpecJoin::I64 { vals, nulls, build } => {
+                if nulls.is_null(p) {
+                    return &[];
+                }
+                build.index.get(&JoinKey::I64(vals[p])).map_or(&[], Vec::as_slice)
+            }
+            // NULL rows carry the empty-string code: the null bit decides.
+            SpecJoin::Dict { codes, nulls, hits } => {
+                if nulls.is_null(p) {
+                    &[]
+                } else {
+                    hits[codes[p] as usize]
+                }
+            }
+            SpecJoin::Generic { col, build } => build.matches(col.get(p)),
+        }
+    }
+}
+
+/// How one slice's fused aggregation finds a row's group. Each strategy
+/// creates groups in first-encounter order, so merging slice partials in
+/// slice order reproduces the serial group order.
+enum GroupSlots<'a> {
+    /// No GROUP BY: one group.
+    Single,
+    /// One dictionary-coded probe key: a dense code → group table (slot 0
+    /// = NULL) instead of hashing a materialized key per row.
+    Dict { col: &'a Column, codes: &'a [u32], map: Vec<usize> },
+    /// Every key on the build side: the slot is resolved once per build row.
+    PerBuildRow(Vec<usize>),
+    /// Anything else: hash the materialized key tuple.
+    Hashed,
+}
+
+/// One slice's partial aggregation in a fused pipeline.
+struct SliceGroups<'a> {
+    keys: &'a [Src],
+    aggs: &'a [AggCall],
+    slice: &'a Slice,
+    build: &'a [Row],
+    slots: GroupSlots<'a>,
+    index: HashMap<Vec<Value>, usize>,
+    groups: Groups,
+}
+
+impl<'a> SliceGroups<'a> {
+    fn new(keys: &'a [Src], aggs: &'a [AggCall], slice: &'a Slice, build: &'a [Row]) -> Self {
+        let slots = match keys {
+            [] => GroupSlots::Single,
+            [Src::Probe(k)] if slice.columns[*k].str_codes().is_some() => {
+                let col = &slice.columns[*k];
+                let dict_len = col.dictionary().map_or(0, <[String]>::len);
+                GroupSlots::Dict {
+                    col,
+                    codes: col.str_codes().unwrap_or_default(),
+                    map: vec![usize::MAX; dict_len + 1],
+                }
+            }
+            _ if keys.iter().all(|k| matches!(k, Src::Build(_))) => {
+                GroupSlots::PerBuildRow(vec![usize::MAX; build.len()])
+            }
+            _ => GroupSlots::Hashed,
+        };
+        SliceGroups { keys, aggs, slice, build, slots, index: HashMap::new(), groups: Vec::new() }
+    }
+
+    /// Feed probe position `pos` joined with build row `b` (ignored without
+    /// a join) into its group's aggregate states.
+    #[inline]
+    fn feed(&mut self, args: &[ArgSlot], pos: usize, b: usize, scratch: &Row) -> Result<()> {
+        let gi = self.slot(pos, b);
+        let brow: &[Value] = self.build.get(b).map_or(&[], Vec::as_slice);
+        for (state, arg) in self.groups[gi].1.iter_mut().zip(args) {
+            arg.feed(state, pos, brow, scratch)?;
+        }
+        Ok(())
+    }
+
+    fn slot(&mut self, pos: usize, b: usize) -> usize {
+        let SliceGroups { keys, aggs, slice, build, slots, index, groups } = self;
+        let key_at = || -> Vec<Value> {
+            keys.iter()
+                .map(|k| match k {
+                    Src::Probe(i) => slice.columns[*i].get(pos),
+                    Src::Build(i) => build[b][*i].clone(),
+                })
+                .collect()
+        };
+        match slots {
+            GroupSlots::Single => {
+                if groups.is_empty() {
+                    push_group(groups, aggs, Vec::new());
+                }
+                0
+            }
+            GroupSlots::Dict { col, codes, map } => {
+                let s = if col.nulls.is_null(pos) { 0 } else { codes[pos] as usize + 1 };
+                if map[s] == usize::MAX {
+                    map[s] = push_group(groups, aggs, vec![col.get(pos)]);
+                }
+                map[s]
+            }
+            GroupSlots::PerBuildRow(map) => {
+                if map[b] == usize::MAX {
+                    map[b] = hashed_group(index, groups, aggs, key_at());
+                }
+                map[b]
+            }
+            GroupSlots::Hashed => hashed_group(index, groups, aggs, key_at()),
+        }
+    }
+}
+
+/// Append a fresh group keyed `key`; returns its index.
+fn push_group(groups: &mut Groups, aggs: &[AggCall], key: Vec<Value>) -> usize {
+    groups.push((key, aggs.iter().map(|a| AggState::new(a.kind, a.distinct)).collect()));
+    groups.len() - 1
+}
+
+/// Index of the group keyed `key`, appended on first sight.
+fn hashed_group(
+    index: &mut HashMap<Vec<Value>, usize>,
+    groups: &mut Groups,
+    aggs: &[AggCall],
+    key: Vec<Value>,
+) -> usize {
+    if let Some(&i) = index.get(&key) {
+        return i;
+    }
+    let i = push_group(groups, aggs, key.clone());
+    index.insert(key, i);
+    i
+}
+
+/// Fused vectorized aggregation: aggregate states are fed *directly from
+/// the column vectors* over each block's surviving selection — no row
+/// materialization, no per-row expression interpretation. With a join
+/// folded in (the star-join shape: fact ⋈ dimension, then GROUP BY), each
+/// surviving probe position looks its key up in the build index and feeds
+/// one update per matching build row, so no joined row is ever built.
+/// Updates arrive in probe order, then build order — the order the hash
+/// join emits rows in — so serial output is bit-identical to the unfused
+/// path. This is the accelerator's bread and butter for reporting queries.
 fn try_fused_aggregate(
     agg_node: &Plan,
     input: &Plan,
     group_exprs: &[Expr],
-    aggs: &[idaa_sql::plan::AggCall],
+    aggs: &[AggCall],
     ctx: &ExecCtx,
 ) -> Result<Option<Vec<Row>>> {
     if ctx.mode == ExecMode::Interpreted {
@@ -1585,151 +1953,50 @@ fn try_fused_aggregate(
     let Some(fused) = compile_fused(input, group_exprs, aggs, ctx.engine)? else {
         return Ok(None);
     };
-    let FusedPipeline { table, key_ords, args, expr_cols, kernels } = &fused;
-
-    let engine = ctx.engine;
-    let use_zones = engine.config.zone_maps;
-    let snap = ctx.snap;
-    let width = table.schema.len();
-    let slices = table.slices();
-
-    let fuse_slice =
-        |slice_lock: &parking_lot::RwLock<Slice>| -> Result<(Groups, u64)> {
-            let slice = slice_lock.read();
-            let spec: Vec<SpecKernel> = kernels.iter().map(|k| k.specialize(&slice)).collect();
-            let total = slice.version_count();
-            let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-            let mut groups: Groups = Vec::new();
-            // Typed accumulation slots: column arguments whose slice vector
-            // is numeric feed `AggState` through the monomorphic
-            // `update_i64`/`update_f64` entry points; everything else goes
-            // through the generic per-value path.
-            let slots: Vec<ArgSlot<'_>> = args
-                .iter()
-                .map(|a| ArgSlot::specialize(a, &slice))
-                .collect();
-            // Single dictionary-string group key: map dictionary codes to
-            // group indices through a dense table (slot 0 = NULL) instead
-            // of hashing a materialized `Vec<Value>` key per row. Group
-            // creation stays in first-occurrence order, so merge order is
-            // unchanged.
-            let mut dict_key: Option<(&[u32], &NullMap, Vec<usize>)> = match key_ords.as_slice() {
-                [k] => {
-                    let col = &slice.columns[*k];
-                    col.str_codes().map(|codes| {
-                        let dict_len = col.dictionary().map_or(0, <[String]>::len);
-                        (codes, &col.nulls, vec![usize::MAX; dict_len + 1])
-                    })
-                }
-                _ => None,
-            };
-            // Scratch row for expression arguments: only the ordinals an
-            // expression reads are ever filled in.
-            let mut scratch: Row = vec![Value::Null; width];
-            let mut sel: Vec<u32> = Vec::with_capacity(BLOCK_ROWS.min(total));
-            let mut batches = 0u64;
-            let blocks = slice.block_count();
-            for b in 0..blocks {
-                engine.stats.blocks_scanned.fetch_add(1, Ordering::Relaxed);
-                if use_zones && zone_prunes(kernels, &slice, b) {
-                    engine.stats.blocks_pruned.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                batches += 1;
-                let (start, end) = select_block(&mut sel, &slice, b, total, engine, &snap);
-                for k in &spec {
-                    if sel.is_empty() {
-                        break;
-                    }
-                    k.filter(&mut sel);
-                }
-                for &p in &sel {
-                    let pos = p as usize;
-                    let gi = if key_ords.is_empty() {
-                        if groups.is_empty() {
-                            groups.push((
-                                Vec::new(),
-                                aggs.iter().map(|a| AggState::new(a.kind, a.distinct)).collect(),
-                            ));
-                        }
-                        0
-                    } else if let Some((codes, knulls, map)) = &mut dict_key {
-                        // NULL rows carry the empty-string code, so the
-                        // null bit must decide the slot before the code.
-                        let slot =
-                            if knulls.is_null(pos) { 0 } else { codes[pos] as usize + 1 };
-                        match map[slot] {
-                            usize::MAX => {
-                                groups.push((
-                                    vec![slice.columns[key_ords[0]].get(pos)],
-                                    aggs.iter()
-                                        .map(|a| AggState::new(a.kind, a.distinct))
-                                        .collect(),
-                                ));
-                                map[slot] = groups.len() - 1;
-                                groups.len() - 1
-                            }
-                            i => i,
-                        }
-                    } else {
-                        let key: Vec<Value> =
-                            key_ords.iter().map(|&i| slice.columns[i].get(pos)).collect();
-                        match index.get(&key) {
-                            Some(&i) => i,
-                            None => {
-                                groups.push((
-                                    key.clone(),
-                                    aggs.iter()
-                                        .map(|a| AggState::new(a.kind, a.distinct))
-                                        .collect(),
-                                ));
-                                index.insert(key, groups.len() - 1);
-                                groups.len() - 1
-                            }
-                        }
-                    };
-                    if !expr_cols.is_empty() {
-                        for &c in expr_cols {
-                            scratch[c] = slice.columns[c].get(pos);
-                        }
-                    }
-                    for (state, slot) in groups[gi].1.iter_mut().zip(&slots) {
-                        match slot {
-                            ArgSlot::Star => state.update(&Value::Null)?,
-                            ArgSlot::I64 { vals, nulls, native } => {
-                                if !nulls.is_null(pos) {
-                                    state.update_i64(vals[pos], native)?;
-                                }
-                            }
-                            ArgSlot::F64 { vals, nulls } => {
-                                if !nulls.is_null(pos) {
-                                    state.update_f64(vals[pos])?;
-                                }
-                            }
-                            ArgSlot::Generic(i) => state.update(&slice.columns[*i].get(pos))?,
-                            ArgSlot::Expr(b) => state.update(&eval(b, &scratch)?)?,
-                        }
-                    }
-                }
-                engine
-                    .stats
-                    .rows_scanned
-                    .fetch_add((end - start) as u64, Ordering::Relaxed);
-            }
-            Ok((groups, batches))
-        };
-
-    // One partial per slice, scanned in parallel like the base scan, merged
-    // in slice order so group order matches the serial pass.
-    let partials: Vec<(Groups, u64)> = if engine.config.parallel && slices.len() > 1 {
-        run_parts(slices.len(), |si| fuse_slice(&slices[si])).into_iter().collect::<Result<_>>()?
-    } else {
-        let mut v = Vec::with_capacity(slices.len());
-        for s in slices {
-            v.push(fuse_slice(s)?);
+    let FusedPipeline { table, keys, args, expr_cols, kernels, join } = &fused;
+    // The build side runs first, reading only the columns the aggregate
+    // and the key need; the fused join and probe scan stay unrecorded.
+    let build = match join {
+        Some(j) => {
+            let rows = run_masked(j.build, ctx, Some(j.build_mask.clone()))?;
+            Some((BuildIndex::new(rows, j)?, j.probe_col))
         }
-        v
+        None => None,
     };
+    let build_rows: &[Row] = build.as_ref().map_or(&[], |(b, _)| b.rows.as_slice());
+    let width = table.schema.len();
+
+    let fuse_slice = |slice_lock: &RwLock<Slice>| -> Result<(Groups, u64)> {
+        let slice = slice_lock.read();
+        let slots: Vec<ArgSlot> = args.iter().map(|a| ArgSlot::specialize(a, &slice)).collect();
+        let probe = build.as_ref().map(|(b, col)| SpecJoin::new(b, &slice, *col));
+        let mut groups = SliceGroups::new(keys, aggs, &slice, build_rows);
+        // Scratch row for expression arguments: only the ordinals an
+        // expression reads are ever filled in.
+        let mut scratch: Row = vec![Value::Null; width];
+        let batches = for_each_block(&slice, kernels, ctx, |sel| {
+            for &p in sel.iter() {
+                let pos = p as usize;
+                for &c in expr_cols {
+                    scratch[c] = slice.columns[c].get(pos);
+                }
+                match &probe {
+                    None => groups.feed(&slots, pos, 0, &scratch)?,
+                    Some(m) => {
+                        for &b in m.matches(pos) {
+                            groups.feed(&slots, pos, b as usize, &scratch)?;
+                        }
+                    }
+                }
+            }
+            Ok(())
+        })?;
+        Ok((groups.groups, batches))
+    };
+
+    // One partial per slice, merged in slice order so group order matches
+    // the serial pass.
+    let partials = per_slice(ctx, table.slices(), fuse_slice)?;
     let mut batches = 0u64;
     let mut groups_parts = Vec::with_capacity(partials.len());
     for (g, b) in partials {
@@ -1771,11 +2038,7 @@ fn find_join(plan: &Plan) -> Option<String> {
             return Some("interpreted (nested-loop join)".to_string());
         }
         let layout = key_layout(&lkeys, &lcols, &rkeys, &rcols);
-        let keys = match layout {
-            KeyLayout::I64 => "typed i64 keys",
-            KeyLayout::Str => "typed string keys",
-            KeyLayout::Generic => "generic keys",
-        };
+        let keys = layout.describe();
         let pushdown =
             layout != KeyLayout::Generic && *kind == JoinKind::Inner && probe_is_scan(left);
         return Some(match (layout, pushdown) {
@@ -1796,8 +2059,13 @@ fn find_join(plan: &Plan) -> Option<String> {
 /// enough).
 fn find_fused(plan: &Plan, engine: &AccelEngine) -> Option<String> {
     if let Plan::Aggregate { input, group_exprs, aggs, .. } = plan {
-        if matches!(compile_fused(input, group_exprs, aggs, engine), Ok(Some(_))) {
-            return Some("vectorized (fused scan-filter-aggregate)".to_string());
+        if let Ok(Some(fused)) = compile_fused(input, group_exprs, aggs, engine) {
+            return Some(match fused.join {
+                None => "vectorized (fused scan-filter-aggregate)".to_string(),
+                Some(j) => {
+                    format!("vectorized (fused scan-join-aggregate: {})", j.layout.describe())
+                }
+            });
         }
     }
     plan.children().into_iter().find_map(|c| find_fused(c, engine))
@@ -1936,7 +2204,7 @@ fn run_aggregate(
         let chunk = rows.len().div_ceil(workers).max(1);
         let chunks: Vec<&[Row]> = rows.chunks(chunk).collect();
         let parts: Vec<Groups> =
-            run_parts(chunks.len(), |ci| aggregate_rows(chunks[ci], &bound_keys, &bound_args, aggs))
+            run_parts(chunks.len(), |ci| aggregate_rows(chunks[ci], &bound_keys, &bound_args, aggs))?
                 .into_iter()
                 .collect::<Result<_>>()?;
         merge_groups(parts)?
@@ -2228,6 +2496,20 @@ mod tests {
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
         rows
+    }
+
+    #[test]
+    fn worker_panic_fails_the_call_not_the_process() {
+        let r = run_parts(3, |i| {
+            if i == 1 {
+                panic!("injected worker failure");
+            }
+            i
+        });
+        let err = r.expect_err("a panicking part must fail the call");
+        assert_eq!(err.sqlcode(), -901);
+        // Nothing is poisoned: the next call runs normally.
+        assert_eq!(run_parts(3, |i| i * 2).unwrap(), vec![0, 2, 4]);
     }
 
     #[test]

@@ -177,6 +177,59 @@ impl TxnRegistry {
     pub fn version_visible(&self, created: TxnId, deleted: TxnId, snap: &Snapshot) -> bool {
         self.created_visible(created, snap) && !self.delete_visible(deleted, snap)
     }
+
+    /// A scan-local visibility checker for `snap` (see [`RunVisibility`]).
+    pub fn run_visibility(&self, snap: Snapshot) -> RunVisibility<'_> {
+        RunVisibility {
+            txns: self,
+            created: 0,
+            created_visible: self.created_visible(0, &snap),
+            deleted: 0,
+            deleted_visible: false,
+            snap,
+        }
+    }
+}
+
+/// [`TxnRegistry::version_visible`] for one snapshot, resolving each run of
+/// equal transaction ids once. A bulk load or an `INSERT` batch writes long
+/// runs of rows under one creating transaction, so a scan pays the
+/// registry's lock and map lookup per run instead of per row; delete marks
+/// are looked up only when set (`deleted != 0`).
+///
+/// Exact: a transaction's visibility to a *fixed* snapshot cannot change
+/// while the snapshot is in use. Its own writes stay visible; a commit that
+/// happens mid-scan takes a sequence above the snapshot's watermark and so
+/// stays invisible, as do active, prepared and aborted transactions.
+pub struct RunVisibility<'a> {
+    txns: &'a TxnRegistry,
+    snap: Snapshot,
+    created: TxnId,
+    created_visible: bool,
+    deleted: TxnId,
+    deleted_visible: bool,
+}
+
+impl RunVisibility<'_> {
+    /// Is the row version `(created, deleted)` visible to the snapshot?
+    #[inline]
+    pub fn visible(&mut self, created: TxnId, deleted: TxnId) -> bool {
+        if created != self.created {
+            self.created = created;
+            self.created_visible = self.txns.created_visible(created, &self.snap);
+        }
+        if !self.created_visible {
+            return false;
+        }
+        if deleted == 0 {
+            return true;
+        }
+        if deleted != self.deleted {
+            self.deleted = deleted;
+            self.deleted_visible = self.txns.delete_visible(deleted, &self.snap);
+        }
+        !self.deleted_visible
+    }
 }
 
 #[cfg(test)]

@@ -6,6 +6,8 @@
 //! * `Value` ordering/hashing consistency;
 //! * zone-map pruning never changes query answers;
 //! * host and accelerator engines agree on random data;
+//! * the fused star-join aggregate agrees with the interpreted join and
+//!   aggregate, and run-memoized MVCC visibility with the per-row rule;
 //! * random committed DML streams keep the replica convergent;
 //! * commit-log replay is idempotent: any restart schedule rebuilds
 //!   byte-identical engine state — including under torn-write and bit-rot
@@ -698,6 +700,10 @@ proptest! {
             // Join under aggregation (fused downstream of the join).
             "SELECT x.g, COUNT(*), SUM(y.a) FROM t AS x INNER JOIN t AS y \
              ON x.a = y.a GROUP BY x.g ORDER BY x.g",
+            // Build-side group key: the fused star-join aggregate resolves
+            // each build row's group once.
+            "SELECT y.g, COUNT(*), SUM(x.a), MAX(y.d) FROM t AS x INNER JOIN t AS y \
+             ON x.a = y.a GROUP BY y.g ORDER BY y.g",
             // Multi-key ON falls back to generic keys on both paths.
             "SELECT COUNT(*) FROM t AS x INNER JOIN t AS y \
              ON x.a = y.a AND x.g = y.g",
@@ -747,6 +753,251 @@ proptest! {
         let host_rows = sort(idaa.host().scan_all(&ObjectName::bare("T")).unwrap());
         let accel_rows = sort(idaa.accel().scan_visible(&ObjectName::bare("T")).unwrap());
         prop_assert_eq!(host_rows, accel_rows);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Fused star-join aggregation and run-memoized MVCC visibility
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The scan-local visibility memo answers exactly like the per-row rule
+    /// over random transaction histories: begin / prepare / commit / abort,
+    /// runs of own writes, delete marks by the writer itself, by another
+    /// transaction and by one that later aborts, and scans that start from
+    /// a snapshot mid-stream and keep running while other transactions
+    /// change state underneath them.
+    #[test]
+    fn memoized_visibility_matches_per_row_rule(
+        events in proptest::collection::vec((0u8..9, 1u64..13, 0usize..1000, 1usize..6), 1..200),
+    ) {
+        use idaa::accel::{RunVisibility, Snapshot, TxnRegistry, TxnStatus};
+        let reg = TxnRegistry::default();
+        let mut begun = std::collections::HashSet::new();
+        // Row versions in storage order: (creator, deleter or 0).
+        let mut versions: Vec<(u64, u64)> = Vec::new();
+        // Open scans: snapshot, its memo, and how far the scan has read.
+        let mut scans: Vec<(Snapshot, RunVisibility<'_>, usize)> = Vec::new();
+        let live = |t: u64| matches!(reg.status(t), TxnStatus::Active | TxnStatus::Prepared);
+        let advance = |scans: &mut Vec<(Snapshot, RunVisibility<'_>, usize)>,
+                       versions: &[(u64, u64)],
+                       rows: usize| {
+            for (snap, memo, at) in scans.iter_mut() {
+                let end = (*at + rows).min(versions.len());
+                for (i, &(c, d)) in versions.iter().enumerate().take(end).skip(*at) {
+                    prop_assert_eq!(
+                        memo.visible(c, d),
+                        reg.version_visible(c, d, snap),
+                        "row {} ({}, {}) under {:?}", i, c, d, snap
+                    );
+                }
+                *at = end;
+            }
+        };
+        for (op, txn, pick, run) in events {
+            match op {
+                0 if begun.insert(txn) => reg.begin(txn),
+                1 if reg.status(txn) == TxnStatus::Active => reg.prepare(txn),
+                2 if live(txn) => {
+                    reg.commit(txn);
+                }
+                3 if live(txn) => reg.abort(txn),
+                // A run of rows under one writer (a batch, or own writes).
+                4 if reg.status(txn) == TxnStatus::Active => {
+                    versions.extend(std::iter::repeat_n((txn, 0), run));
+                }
+                // Delete marks by an active transaction: possibly the row's
+                // own writer, possibly one that aborts later.
+                5 if live(txn) && !versions.is_empty() => {
+                    for k in 0..run {
+                        let i = (pick + k) % versions.len();
+                        if versions[i].1 == 0 {
+                            versions[i].1 = txn;
+                        }
+                    }
+                }
+                6 => scans.push((reg.snapshot(txn), reg.run_visibility(reg.snapshot(txn)), 0)),
+                7 => advance(&mut scans, &versions, run * 7),
+                _ => {}
+            }
+        }
+        advance(&mut scans, &versions, usize::MAX / 2);
+        // Fresh snapshots at the end, for every transaction and a reader.
+        for me in 0..13u64 {
+            let snap = reg.snapshot(me);
+            let mut memo = reg.run_visibility(snap);
+            for &(c, d) in &versions {
+                prop_assert_eq!(memo.visible(c, d), reg.version_visible(c, d, &snap));
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Aggregate-over-INNER-join queries that fuse into the probe scan
+    /// agree with the interpreted hash join + aggregate: bit for bit (row
+    /// order included) serially, and as multisets at 2, 4 and 8 workers.
+    /// Data covers NULL keys on both sides, duplicate build keys, string
+    /// keys that differ only in trailing blanks, group keys from either or
+    /// both sides, every aggregate kind over either side, and a reader
+    /// that sees its own uncommitted inserts and deletes.
+    #[test]
+    fn fused_join_aggregate_matches_interpreted(
+        fact in proptest::collection::vec(
+            (
+                proptest::option::of(0i64..40),
+                proptest::option::of(0usize..5),
+                proptest::option::of(-50i64..50),
+                proptest::option::of(0i64..80),
+                proptest::option::of(0usize..3),
+            ),
+            100..400,
+        ),
+        dim in proptest::collection::vec(
+            (
+                proptest::option::of(0i64..40),
+                proptest::option::of(0usize..5),
+                proptest::option::of(0usize..3),
+                proptest::option::of(0i64..100),
+            ),
+            10..60,
+        ),
+        own in proptest::collection::vec((0i64..40, 0usize..5, -50i64..50), 0..40),
+        cut in -50i64..50,
+    ) {
+        use idaa::accel::{AccelConfig, AccelEngine, ExecMode};
+        use idaa::common::{ColumnDef, Schema};
+        const FACT_S: [&str; 5] = ["a", "b ", "c", "d  ", "e"];
+        const DIM_S: [&str; 5] = ["a  ", "b", "c ", "d", "f"];
+        const ME: u64 = 7;
+        let str_or_null = |v: Option<usize>, pool: &[&str]| {
+            v.map_or(Value::Null, |i| Value::Varchar(pool[i].into()))
+        };
+        let fact_rows: Vec<idaa::Row> = fact
+            .iter()
+            .map(|(k, s, v, d, g)| vec![
+                k.map_or(Value::Null, Value::BigInt),
+                str_or_null(*s, &FACT_S),
+                v.map_or(Value::Null, Value::BigInt),
+                d.map_or(Value::Null, |x| Value::Double(x as f64 * 0.25)),
+                str_or_null(*g, &["x", "y", "z"]),
+            ])
+            .collect();
+        let dim_rows: Vec<idaa::Row> = dim
+            .iter()
+            .map(|(k, s, c, w)| vec![
+                k.map_or(Value::Null, Value::BigInt),
+                str_or_null(*s, &DIM_S),
+                str_or_null(*c, &["p", "q", "r"]),
+                w.map_or(Value::Null, Value::BigInt),
+                w.map_or(Value::Null, |x| Value::Double(x as f64 * 0.5)),
+            ])
+            .collect();
+        let own_rows: Vec<idaa::Row> = own
+            .iter()
+            .map(|(k, s, v)| vec![
+                Value::BigInt(*k),
+                Value::Varchar(FACT_S[*s].into()),
+                Value::BigInt(*v),
+                Value::Double(0.75),
+                Value::Varchar("y".into()),
+            ])
+            .collect();
+        let filter = |sql: &str| -> Expr {
+            let Statement::Query(q) = parse_statement(sql).unwrap() else { unreachable!() };
+            q.filter.clone().unwrap()
+        };
+        let setup = |config: AccelConfig| -> AccelEngine {
+            let engine = AccelEngine::new("APP", config);
+            let fact_schema = Schema::new(vec![
+                ColumnDef::new("K", DataType::BigInt),
+                ColumnDef::new("S", DataType::Varchar(4)),
+                ColumnDef::new("V", DataType::BigInt),
+                ColumnDef::new("D", DataType::Double),
+                ColumnDef::new("G", DataType::Varchar(2)),
+            ]).unwrap();
+            let dim_schema = Schema::new(vec![
+                ColumnDef::new("K", DataType::BigInt),
+                ColumnDef::new("S", DataType::Varchar(4)),
+                ColumnDef::new("C", DataType::Varchar(2)),
+                ColumnDef::new("W", DataType::BigInt),
+                ColumnDef::new("E", DataType::Double),
+            ]).unwrap();
+            let (f, dm) = (ObjectName::bare("F"), ObjectName::bare("DM"));
+            engine.create_table(&f, fact_schema, &[]).unwrap();
+            engine.create_table(&dm, dim_schema, &[]).unwrap();
+            engine.load_committed(&f, fact_rows.clone()).unwrap();
+            engine.load_committed(&dm, dim_rows.clone()).unwrap();
+            // A committed delete, then our own uncommitted inserts and
+            // deletes on both sides.
+            engine.begin(3);
+            engine.delete_where(3, &f, Some(&filter(&format!("SELECT 1 FROM f WHERE v > {cut}"))))
+                .unwrap();
+            engine.commit(3);
+            engine.begin(ME);
+            engine.insert_rows(ME, &f, own_rows.clone()).unwrap();
+            engine.delete_where(ME, &f, Some(&filter("SELECT 1 FROM f WHERE v < -40"))).unwrap();
+            engine.delete_where(ME, &dm, Some(&filter("SELECT 1 FROM dm WHERE w > 90"))).unwrap();
+            engine
+        };
+        let queries = [
+            // Probe-side group key; aggregates over both sides.
+            "SELECT f.g, COUNT(*), SUM(f.v), MIN(d.w), MAX(d.e), AVG(f.d) \
+             FROM f INNER JOIN dm AS d ON f.k = d.k GROUP BY f.g",
+            // Build-side group key over a filtered probe scan.
+            "SELECT d.c, COUNT(*), SUM(f.d), COUNT(DISTINCT f.v), MIN(f.v), MAX(d.w) \
+             FROM f INNER JOIN dm AS d ON f.k = d.k WHERE f.v > -20 GROUP BY d.c",
+            // Keys from both sides; string keys equal up to trailing blanks.
+            "SELECT f.g, d.c, COUNT(f.v), SUM(d.w), AVG(d.e) \
+             FROM f INNER JOIN dm AS d ON f.s = d.s GROUP BY f.g, d.c",
+            // No GROUP BY; string aggregates and a DISTINCT over the build.
+            "SELECT COUNT(*), SUM(f.v), COUNT(DISTINCT d.c), MIN(f.s), MAX(d.s) \
+             FROM f INNER JOIN dm AS d ON f.s = d.s WHERE f.d >= 2.5",
+            // ON written build-first; the join key is itself the group key;
+            // a filtered build side.
+            "SELECT f.s, COUNT(*), SUM(d.w), MAX(f.d) \
+             FROM f INNER JOIN dm AS d ON d.k = f.k WHERE d.w < 70 GROUP BY f.s",
+            // Build-side group key that is also the join key.
+            "SELECT d.k, COUNT(*), SUM(f.v) FROM f INNER JOIN dm AS d ON f.k = d.k \
+             WHERE f.k BETWEEN 5 AND 30 GROUP BY d.k",
+        ];
+        let canon = |mut rows: Vec<idaa::Row>| {
+            rows.sort_by(|a, b| {
+                a.iter().zip(b).map(|(x, y)| x.cmp_total(y))
+                    .find(|o| *o != std::cmp::Ordering::Equal)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            });
+            rows
+        };
+        let serial = setup(AccelConfig { slices: 3, zone_maps: true, parallel: false, parallelism: 0 });
+        let parallel: Vec<AccelEngine> = [2usize, 4, 8]
+            .into_iter()
+            .map(|w| setup(AccelConfig { slices: 3, zone_maps: true, parallel: true, parallelism: w }))
+            .collect();
+        for sql in queries {
+            let Statement::Query(q) = parse_statement(sql).unwrap() else { unreachable!() };
+            let pipeline = serial.pipeline_of(&q).unwrap();
+            prop_assert!(
+                pipeline.starts_with("vectorized (fused scan-join-aggregate"),
+                "{} must fuse, got {}", sql, pipeline
+            );
+            for reader in [ME, 0] {
+                let oracle = serial.query_with_mode(reader, &q, ExecMode::Interpreted).unwrap().rows;
+                let fused = serial.query(reader, &q).unwrap().rows;
+                prop_assert_eq!(&fused, &oracle, "serial disagreement on {} as {}", sql, reader);
+                for (engine, workers) in parallel.iter().zip([2, 4, 8]) {
+                    let rows = engine.query(reader, &q).unwrap().rows;
+                    prop_assert_eq!(
+                        canon(rows), canon(oracle.clone()),
+                        "{} as {} at workers={}", sql, reader, workers
+                    );
+                }
+            }
+        }
     }
 }
 

@@ -554,6 +554,27 @@ fn explain_names_join_pipelines_bloom_and_plan_cache() {
         ),
         "PIPELINE: interpreted (hash join: generic keys, bloom-guarded probe)",
     );
+    // An INNER join under GROUP BY fuses into the probe scan: aggregate
+    // states are fed per match, and no joined row is built.
+    assert_eq!(
+        pipeline_of(
+            &idaa,
+            &mut s,
+            "SELECT b.region, COUNT(*), SUM(a.amount) FROM sales a \
+             INNER JOIN sales b ON a.region = b.region WHERE a.qty > 2 GROUP BY b.region",
+        ),
+        "PIPELINE: vectorized (fused scan-join-aggregate: typed string keys)",
+    );
+    // A LEFT join under GROUP BY stays on the hash-join pipeline.
+    assert_eq!(
+        pipeline_of(
+            &idaa,
+            &mut s,
+            "SELECT a.region, COUNT(b.id) FROM sales a LEFT JOIN sales b ON a.id = b.id \
+             GROUP BY a.region",
+        ),
+        "PIPELINE: vectorized (hash join: typed i64 keys, bloom-guarded probe)",
+    );
     // Non-equi ON: nested loop.
     assert_eq!(
         pipeline_of(
