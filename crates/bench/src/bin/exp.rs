@@ -11,20 +11,12 @@
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
-        eprintln!("usage: exp <e1..e22|all> [more ids...]");
-        eprintln!("  E1  OLAP offload crossover        E9  replication batch ablation");
-        eprintln!("  E2  OLTP point access             E10 accelerator ablation");
-        eprintln!("  E3  pipeline stages (headline)    E11 governance overhead");
-        eprintln!("  E4  INSERT..SELECT targets        E12 end-to-end churn scenario");
-        eprintln!("  E5  loader paths                  E13 parallel join/sort scaling");
-        eprintln!("  E6  txn correctness probes        E14 outage failover + recovery");
-        eprintln!("  E7  in-DB analytics vs client     E15 wire codec compression");
-        eprintln!("  E8  in-DB scoring vs client       E16 crash-restart recovery");
-        eprintln!("  E17 tracing overhead + attribution");
-        eprintln!("  E18 vectorized batch kernels vs interpreter");
-        eprintln!("  E19 fleet failover: replica factor vs latency + catch-up");
-        eprintln!("  E20 vectorized joins + plan cache + fleet Bloom gathers");
-        eprintln!("  E21 storage faults: scrub intervals + repair-path byte costs");
+        let experiments = idaa_bench::experiments::EXPERIMENTS;
+        let last = experiments.last().map_or("e1", |(id, _, _)| id);
+        eprintln!("usage: exp <e1..{last}|all> [more ids...]");
+        for (id, title, _) in experiments {
+            eprintln!("  {:<4}{title}", id.to_ascii_uppercase());
+        }
         std::process::exit(2);
     }
     for id in &args {

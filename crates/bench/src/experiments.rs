@@ -11,63 +11,52 @@ use idaa_loader::{EventSource, LoadTarget, Loader};
 use idaa_sql::Privilege;
 use std::time::Instant;
 
-/// Run one experiment by id (`e1`…`e22`) or `all`.
+/// Every experiment, in suite order: id, one-line title for the usage
+/// text, and entry point. Dispatch, `all`, and the `exp` usage text are
+/// all driven by this one table.
+pub const EXPERIMENTS: &[(&str, &str, fn())] = &[
+    ("e1", "OLAP offload crossover", e1_offload_crossover),
+    ("e2", "OLTP point access", e2_oltp_point_access),
+    ("e3", "pipeline stages (headline)", e3_pipeline_stages),
+    ("e4", "INSERT..SELECT targets", e4_insert_select_target),
+    ("e5", "loader paths", e5_loader_paths),
+    ("e6", "txn correctness probes", e6_transaction_correctness),
+    ("e7", "in-DB analytics vs client", e7_in_database_analytics),
+    ("e8", "in-DB scoring vs client", e8_in_database_scoring),
+    ("e9", "replication batch ablation", e9_replication_batch),
+    ("e10", "accelerator ablation", e10_accelerator_ablation),
+    ("e11", "governance overhead", e11_governance_overhead),
+    ("e12", "end-to-end churn scenario", e12_end_to_end_scenario),
+    ("e13", "parallel join/sort scaling", e13_parallel_operators),
+    ("e14", "outage failover + recovery", e14_outage_recovery),
+    ("e15", "wire codec compression", e15_wire_codec),
+    ("e16", "crash-restart recovery", e16_crash_recovery),
+    ("e17", "tracing overhead + attribution", e17_trace_overhead),
+    ("e18", "vectorized batch kernels vs interpreter", e18_vectorized_kernels),
+    ("e19", "fleet failover: replica factor vs latency + catch-up", e19_fleet_failover),
+    ("e20", "vectorized joins + plan cache + fleet Bloom gathers", e20_join_kernels_and_pushdown),
+    ("e21", "storage faults: scrub intervals + repair-path byte costs", e21_storage_faults),
+    ("e22", "multi-session workload scheduler", e22_workload_scheduler),
+];
+
+/// Run experiment `id` (case-insensitive), or the whole suite for `all`.
+/// Returns false for an unknown id.
 pub fn run(id: &str) -> bool {
-    match id.to_ascii_lowercase().as_str() {
-        "e1" => e1_offload_crossover(),
-        "e2" => e2_oltp_point_access(),
-        "e3" => e3_pipeline_stages(),
-        "e4" => e4_insert_select_target(),
-        "e5" => e5_loader_paths(),
-        "e6" => e6_transaction_correctness(),
-        "e7" => e7_in_database_analytics(),
-        "e8" => e8_in_database_scoring(),
-        "e9" => e9_replication_batch(),
-        "e10" => e10_accelerator_ablation(),
-        "e11" => e11_governance_overhead(),
-        "e12" => e12_end_to_end_scenario(),
-        "e13" => e13_parallel_operators(),
-        "e14" => e14_outage_recovery(),
-        "e15" => e15_wire_codec(),
-        "e16" => e16_crash_recovery(),
-        "e17" => e17_trace_overhead(),
-        "e18" => e18_vectorized_kernels(),
-        "e19" => e19_fleet_failover(),
-        "e20" => e20_join_kernels_and_pushdown(),
-        "e21" => e21_storage_faults(),
-        "e22" => e22_workload_scheduler(),
-        "all" => {
-            for e in [
-                e1_offload_crossover,
-                e2_oltp_point_access,
-                e3_pipeline_stages,
-                e4_insert_select_target,
-                e5_loader_paths,
-                e6_transaction_correctness,
-                e7_in_database_analytics,
-                e8_in_database_scoring,
-                e9_replication_batch,
-                e10_accelerator_ablation,
-                e11_governance_overhead,
-                e12_end_to_end_scenario,
-                e13_parallel_operators,
-                e14_outage_recovery,
-                e15_wire_codec,
-                e16_crash_recovery,
-                e17_trace_overhead,
-                e18_vectorized_kernels,
-                e19_fleet_failover,
-                e20_join_kernels_and_pushdown,
-                e21_storage_faults,
-                e22_workload_scheduler,
-            ] {
-                e();
-                println!();
-            }
+    let id = id.to_ascii_lowercase();
+    if id == "all" {
+        for (_, _, e) in EXPERIMENTS {
+            e();
+            println!();
         }
-        _ => return false,
+        return true;
     }
-    true
+    match EXPERIMENTS.iter().find(|(name, _, _)| *name == id) {
+        Some((_, _, e)) => {
+            e();
+            true
+        }
+        None => false,
+    }
 }
 
 fn banner(id: &str, title: &str) {

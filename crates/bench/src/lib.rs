@@ -2,7 +2,7 @@
 //! harness (`exp` binary) and the Criterion microbenches.
 //!
 //! The EDBT 2016 poster contains no quantitative evaluation, so the
-//! experiment suite (E1–E21, defined in `DESIGN.md` and recorded in
+//! experiment suite (E1–E22, defined in `DESIGN.md` and recorded in
 //! `EXPERIMENTS.md`) operationalizes each claim in the paper's text. Every
 //! experiment reports wall-clock compute time *and* the deterministic link
 //! metrics (bytes, messages, simulated wire time) — the latter being the

@@ -288,6 +288,12 @@ impl<'a> Reader<'a> {
     fn done(&self) -> bool {
         self.pos == self.buf.len()
     }
+
+    /// Bytes not yet consumed: the bound every declared count is checked
+    /// against before anything is sized from it.
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -696,7 +702,7 @@ fn decode_int_body(r: &mut Reader, phys: u8, n: usize) -> Result<Vec<Value>> {
             while vals.len() < n {
                 let run = r.varint()? as usize;
                 let v = unzigzag64(r.varint()?);
-                if run == 0 || vals.len() + run > n {
+                if run == 0 || run > n - vals.len() {
                     return r.bad();
                 }
                 vals.extend(std::iter::repeat_n(v, run));
@@ -720,7 +726,7 @@ fn decode_double_body(r: &mut Reader, n: usize) -> Result<Vec<Value>> {
             while vals.len() < n {
                 let run = r.varint()? as usize;
                 let v = f64::from_bits(read_u64_le(r.take(8)?));
-                if run == 0 || vals.len() + run > n {
+                if run == 0 || run > n - vals.len() {
                     return r.bad();
                 }
                 vals.extend(std::iter::repeat_n(v, run));
@@ -744,6 +750,10 @@ fn decode_string_body(r: &mut Reader, n: usize) -> Result<Vec<Value>> {
         }
         ENC_DICT => {
             let nentries = r.varint()? as usize;
+            // Every entry carries at least its one-byte length.
+            if nentries > r.remaining() {
+                return r.bad();
+            }
             let mut entries = Vec::with_capacity(nentries);
             for _ in 0..nentries {
                 let len = r.varint()? as usize;
@@ -762,7 +772,7 @@ fn decode_string_body(r: &mut Reader, n: usize) -> Result<Vec<Value>> {
                     while indices.len() < n {
                         let run = r.varint()? as usize;
                         let ix = r.varint()? as usize;
-                        if run == 0 || indices.len() + run > n {
+                        if run == 0 || run > n - indices.len() {
                             return r.bad();
                         }
                         indices.extend(std::iter::repeat_n(ix, run));
@@ -866,6 +876,13 @@ pub fn decode_frame(frame: &[u8]) -> Result<DecodedFrame> {
     let ncols = read_u32_le(&body[16..20]) as usize;
     let logical_len = read_u64_le(&body[20..28]);
     let mut r = Reader::new(&body[HEADER_LEN..]);
+    // Every column carries at least its physical tag and a ceil(nrows/8)-byte
+    // null bitmap, so the declared counts must fit the bytes present before
+    // anything is sized from them. Rows need a column to carry them.
+    let min_payload = (1 + nrows.div_ceil(8)).checked_mul(ncols);
+    if min_payload.is_none_or(|m| m > r.remaining()) || (ncols == 0 && nrows > 0) {
+        return r.bad();
+    }
     let mut columns = Vec::with_capacity(ncols);
     for _ in 0..ncols {
         columns.push(decode_column(&mut r, nrows)?);
@@ -1053,7 +1070,11 @@ pub fn decode_summary(buf: &[u8]) -> Result<KeySummary> {
     let has_range = body[3];
     let mut r = Reader::new(&body[4..]);
     let nwords = r.varint()? as usize;
-    if nwords == 0 || !nwords.is_power_of_two() || nwords > SUMMARY_MAX_WORDS {
+    if nwords == 0
+        || !nwords.is_power_of_two()
+        || nwords > SUMMARY_MAX_WORDS
+        || nwords * 8 > r.remaining()
+    {
         return r.bad();
     }
     let mut words = Vec::with_capacity(nwords);

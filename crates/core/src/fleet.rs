@@ -1,17 +1,20 @@
 //! Multi-accelerator fleet: deterministic shard placement, scatter/gather
 //! execution, and epoch-fenced replica failover.
 //!
-//! The fleet generalizes the single `Idaa { accel }` pairing to K accelerator
-//! nodes, each behind its own metered [`NetLink`] and seeded
-//! [`FaultRegistry`]. Accelerator-only tables created `IN ACCELERATOR` are
-//! hash-sharded across the fleet (physical tables `T__S0 .. T__S{N-1}`), with
-//! every shard placed on `replication_factor` consecutive nodes. Queries
-//! scatter to the owning shards in ascending shard order and merge at the
-//! coordinator, so any fleet size reproduces the single-accelerator answer
-//! modulo float summation order. When a shard's primary is crashed or
-//! Offline, the gather fails over to the next replica (protected by the same
-//! epoch-fenced [`SeqTracker`] exactly-once exchange as the single-node
-//! path), the lagging node re-joins via a metered catch-up copy, and a
+//! The fleet generalizes the paper's single DB2 + accelerator pairing to K
+//! accelerator nodes, each behind its own metered [`NetLink`] and seeded
+//! [`FaultRegistry`]. The single accelerator is a fleet of one node: it
+//! enlists, exchanges statements and runs two-phase commit through the same
+//! node-generic code as every larger fleet. In a larger fleet,
+//! accelerator-only tables created `IN ACCELERATOR` are hash-sharded across
+//! the fleet (physical tables `T__S0 .. T__S{N-1}`), with every shard placed
+//! on `replication_factor` consecutive nodes. Queries scatter to the owning
+//! shards in ascending shard order and merge at the coordinator, so any
+//! fleet size reproduces the single-accelerator answer modulo float
+//! summation order. When a shard's primary is crashed or Offline, the gather
+//! fails over to the next replica (protected by the epoch-fenced
+//! [`SeqTracker`] exactly-once exchange every node uses), the lagging node
+//! re-joins via a metered catch-up copy, and a
 //! rebalance check on the virtual clock migrates shards back to their
 //! preferred owners. Shard placement, gather order, and failover order are
 //! all deterministic, so a given seed replays byte-identical `LinkMetrics`
@@ -41,8 +44,8 @@ use std::time::Duration;
 /// when a failed-over shard migrates back to its preferred owner.
 ///
 /// The default (one accelerator, one shard, replication factor one) is the
-/// paper's single-accelerator pairing; every legacy code path is byte-for-byte
-/// unchanged under it.
+/// paper's single-accelerator pairing: a fleet of one node whose
+/// accelerator-only tables are not sharded.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Number of accelerator nodes (K). Each gets its own metered link,
@@ -85,7 +88,7 @@ impl Default for FleetConfig {
 /// epoch-fenced delivery tracker, replication stream, and queued phase-2
 /// commit decisions.
 pub struct AccelNode {
-    /// Position in the fleet (0-based; node 0 is the legacy single node).
+    /// Position in the fleet (0-based; node 0 holds the unsharded tables).
     pub(crate) id: usize,
     /// The accelerator engine itself.
     pub(crate) engine: Arc<AccelEngine>,
@@ -787,8 +790,9 @@ fn build_gather_filter(rows: &[Row], build_col: usize, probe_col: usize) -> Gath
 
 impl Idaa {
     /// True when this instance runs a real fleet (more than one node or more
-    /// than one shard). When false, every legacy single-accelerator path is
-    /// taken unchanged.
+    /// than one shard). It decides two things only: whether `CREATE TABLE …
+    /// IN ACCELERATOR` shards the table, and whether trace spans name their
+    /// node.
     pub fn fleet_active(&self) -> bool {
         self.nodes.len() > 1 || self.fleet.shards > 1
     }
@@ -896,18 +900,16 @@ impl Idaa {
         if node.engine.is_crashed() && self.restart_node(&node).is_err() {
             return false;
         }
-        if self.fleet_active()
-            && self.fleet.needs_catch_up(node.id)
-            && self.catch_up_node(&node).is_err()
-        {
+        if self.catch_up_node(&node).is_err() {
             return false;
         }
         let _ = self.replicate_now();
         true
     }
 
-    /// Execute `q` across the fleet: scatter to owning shards in ascending
-    /// shard order, fail over per shard, and merge at the coordinator.
+    /// Execute `q`, which reads at least one sharded table, across the
+    /// fleet: scatter to owning shards in ascending shard order, fail over
+    /// per shard, and merge at the coordinator.
     pub(crate) fn fleet_query(
         &self,
         session: &mut Session,
@@ -924,13 +926,6 @@ impl Idaa {
             if self.fleet.is_sharded(t) && !sharded.contains(t) {
                 sharded.push(t.clone());
             }
-        }
-        if sharded.is_empty() {
-            // Replicated tables only: node 0 serves the whole query.
-            if !self.accel_ready_traced(&trace) {
-                return Err(self.unavailable_error());
-            }
-            return self.accel_query(session, q);
         }
         let span = if trace.is_enabled() { Some(trace.begin("gather", self.link().now())) } else { None };
         if let Some(id) = span {
@@ -1129,9 +1124,6 @@ impl Idaa {
     /// healthy, caught up, and the rebalance delay has elapsed on the
     /// virtual clock.
     pub(crate) fn maybe_rebalance(&self) {
-        if !self.fleet_active() {
-            return;
-        }
         for s in 0..self.fleet.shards {
             let preferred = self.fleet.owners(s)[0];
             if self.fleet.primary_of(s) == preferred {
@@ -1154,10 +1146,13 @@ impl Idaa {
         }
     }
 
-    /// Copy every shard a lagging node owns from a live replica, metering
-    /// both legs of the transfer. The node stays flagged until a full pass
-    /// succeeds.
+    /// Copy every shard a node marked as lagging owns from a live replica,
+    /// metering both legs of the transfer. The node stays flagged until a
+    /// full pass succeeds; an unmarked node has nothing to copy.
     pub(crate) fn catch_up_node(&self, node: &AccelNode) -> Result<()> {
+        if !self.fleet.needs_catch_up(node.id) {
+            return Ok(());
+        }
         for t in self.fleet.sharded_tables() {
             let meta = self.host.table_meta(&t)?;
             for s in 0..self.fleet.shards {
@@ -1194,15 +1189,22 @@ impl Idaa {
         Ok(())
     }
 
-    /// Create the physical shard tables of an `IN ACCELERATOR` table on
-    /// every owning node and register the logical table as sharded.
-    pub(crate) fn fleet_create_sharded(
+    /// Create an `IN ACCELERATOR` table. This is the one placement rule:
+    /// in a real fleet the table is sharded — every owning node gets its
+    /// shard's physical table and the logical table is registered as
+    /// sharded — while the single accelerator holds it under its own name.
+    pub(crate) fn fleet_create_table(
         &self,
         name: &ObjectName,
         schema: &Schema,
         distribute_by: &[String],
         ddl: &str,
     ) -> Result<()> {
+        if !self.fleet_active() {
+            let node = &self.nodes[0];
+            self.ship_ddl_on(node, ddl)?;
+            return node.engine.create_table(name, schema.clone(), distribute_by);
+        }
         for s in 0..self.fleet.shards {
             let st = shard_table(name, s);
             for owner in self.fleet.owners(s) {
@@ -1254,209 +1256,174 @@ impl Idaa {
         for row in rows {
             by_shard.entry(shard_of(&row[dist_idx], self.fleet.shards)).or_default().push(row);
         }
-        let trace = session.trace.clone();
         let mut total = 0usize;
         for (s, shard_rows) in by_shard {
-            let st = shard_table(table, s);
-            let mut counted = None;
-            let mut saw_unavailable = false;
-            for owner in self.fleet.owners(s) {
-                let node = self.nodes[owner].clone();
-                self.sync_node_clock(&node);
-                let ready = self.node_ready(&node);
-                self.absorb_node_clock(&node);
-                if !ready {
-                    self.fleet.mark_catch_up(owner);
-                    saw_unavailable = true;
-                    continue;
-                }
-                let attempt: Result<usize> = (|| {
-                    let txn = self.enlist_node(session, &node)?;
-                    let delivered = self.ship_rows_traced_on(
-                        &node,
-                        &trace,
-                        Direction::ToAccel,
-                        schema,
-                        &shard_rows,
-                    )?;
-                    let n = node.engine.insert_rows(txn, &st, delivered)?;
-                    self.ship_traced_on(&node, &trace, Direction::ToHost, "ack", wire::ACK_FRAME)?;
-                    Ok(n)
-                })();
-                self.absorb_node_clock(&node);
-                match attempt {
-                    Ok(n) => {
-                        if counted.is_none() {
-                            counted = Some(n);
-                        }
-                    }
-                    Err(Error::LinkFailure(_)) => self.fleet.mark_catch_up(owner),
-                    Err(Error::ResourceUnavailable(_)) => {
-                        node.health.force_offline();
-                        self.fleet.mark_catch_up(owner);
-                        saw_unavailable = true;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            match counted {
-                Some(n) => total += n,
-                None => {
-                    return Err(if saw_unavailable {
-                        shard_unavailable(s, table)
-                    } else {
-                        shard_link_failure(s, table)
-                    })
-                }
-            }
+            total += self.write_shard(session, table, s, |session, node, st| {
+                self.insert_on(session, node, st, schema, &shard_rows)
+            })?;
         }
         Ok(total)
     }
 
     /// Scatter an AOT UPDATE/DELETE: every shard applies the statement on
-    /// every live owning replica; the per-shard row count is taken from the
-    /// first replica that serves it.
+    /// every live owning replica.
     pub(crate) fn fleet_dml_each_shard(
         &self,
         session: &mut Session,
         table: &ObjectName,
         request_bytes: usize,
-        op: impl Fn(&AccelNode, TxnId, &ObjectName) -> Result<usize>,
+        op: impl Fn(&AccelEngine, TxnId, &ObjectName) -> Result<usize>,
     ) -> Result<usize> {
         self.maybe_rebalance();
         let mut total = 0usize;
         for s in 0..self.fleet.shards {
-            let st = shard_table(table, s);
-            let mut counted = None;
-            let mut saw_unavailable = false;
-            for owner in self.fleet.owners(s) {
-                let node = self.nodes[owner].clone();
-                self.sync_node_clock(&node);
-                let ready = self.node_ready(&node);
-                self.absorb_node_clock(&node);
-                if !ready {
-                    self.fleet.mark_catch_up(owner);
-                    saw_unavailable = true;
-                    continue;
-                }
-                let attempt: Result<usize> = (|| {
-                    let txn = self.enlist_node(session, &node)?;
-                    let (n, _) = self.exchange_on(
-                        &node,
-                        session,
-                        request_bytes,
-                        || op(&node, txn, &st),
-                        |_| ReplyPayload::Control(wire::ACK_FRAME),
-                    )?;
-                    Ok(n)
-                })();
-                self.absorb_node_clock(&node);
-                match attempt {
-                    Ok(n) => {
-                        if counted.is_none() {
-                            counted = Some(n);
-                        }
-                    }
-                    Err(Error::LinkFailure(_)) => self.fleet.mark_catch_up(owner),
-                    Err(Error::ResourceUnavailable(_)) => {
-                        node.health.force_offline();
-                        self.fleet.mark_catch_up(owner);
-                        saw_unavailable = true;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            match counted {
-                Some(n) => total += n,
-                None => {
-                    return Err(if saw_unavailable {
-                        shard_unavailable(s, table)
-                    } else {
-                        shard_link_failure(s, table)
-                    })
-                }
-            }
+            total += self.write_shard(session, table, s, |session, node, st| {
+                self.write_on(session, node, request_bytes, |txn| op(&node.engine, txn, st))
+            })?;
         }
         Ok(total)
     }
 
-    /// Two-phase commit across every enlisted fleet node: all prepare, all
-    /// vote, one host decision, and per-node phase-2 delivery with queued
-    /// decisions for unreachable nodes.
+    /// Apply one write to every owning replica of shard `s` of `table`, in
+    /// placement order. An owner that is unready or fails the write is
+    /// marked for catch-up; the shard's row count comes from the first
+    /// owner that applied it, and a shard no owner applied fails the
+    /// statement.
+    fn write_shard(
+        &self,
+        session: &mut Session,
+        table: &ObjectName,
+        s: usize,
+        write: impl Fn(&mut Session, &AccelNode, &ObjectName) -> Result<usize>,
+    ) -> Result<usize> {
+        let st = shard_table(table, s);
+        let mut counted = None;
+        let mut saw_unavailable = false;
+        for owner in self.fleet.owners(s) {
+            let node = self.nodes[owner].clone();
+            self.sync_node_clock(&node);
+            let ready = self.node_ready(&node);
+            self.absorb_node_clock(&node);
+            if !ready {
+                self.fleet.mark_catch_up(owner);
+                saw_unavailable = true;
+                continue;
+            }
+            let attempt = write(session, &node, &st);
+            self.absorb_node_clock(&node);
+            match attempt {
+                Ok(n) => {
+                    counted.get_or_insert(n);
+                }
+                Err(Error::LinkFailure(_)) => self.fleet.mark_catch_up(owner),
+                Err(Error::ResourceUnavailable(_)) => {
+                    node.health.force_offline();
+                    self.fleet.mark_catch_up(owner);
+                    saw_unavailable = true;
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        counted.ok_or_else(|| {
+            if saw_unavailable {
+                shard_unavailable(s, table)
+            } else {
+                shard_link_failure(s, table)
+            }
+        })
+    }
+
+    /// Two-phase commit across every enlisted node — one node on the single
+    /// accelerator — hardened against a stopped or crashed participant and
+    /// link-level message loss at every step: all prepare, all vote, one
+    /// host decision, then per-node phase-2 delivery with queued decisions
+    /// for unreachable nodes. Every protocol message is a `control`
+    /// transfer.
     pub(crate) fn commit_two_phase_fleet(
         &self,
         trace: &Trace,
         txn: TxnId,
         ids: &[usize],
     ) -> Result<()> {
-        let abort_all = |idaa: &Idaa| {
+        // Presumed abort: roll back on every participant and the host.
+        let abort_all = |err: Error| -> Result<()> {
             for &i in ids {
-                idaa.nodes[i].engine.abort(txn);
+                self.nodes[i].engine.abort(txn);
             }
+            self.host.rollback(txn)?;
+            Err(err)
         };
+        let control = |node: &AccelNode, direction: Direction| {
+            self.sync_node_clock(node);
+            let shipped =
+                self.ship_traced_on(node, trace, direction, "control", wire::CONTROL_FRAME);
+            self.absorb_node_clock(node);
+            shipped
+        };
+        const ROLLED_BACK: &str = "transaction rolled back on all participants";
+        // A stopped or crashed accelerator cannot vote: presume abort on
+        // both sides. (A crashed engine's copy of the transaction is
+        // aborted durably when recovery replays the log.)
         if self.faults.accel_unavailable.load(Ordering::Relaxed)
             || ids.iter().any(|&i| self.nodes[i].engine.is_crashed())
         {
-            abort_all(self);
-            self.host.rollback(txn)?;
-            return Err(Error::ResourceUnavailable(
-                "an enlisted accelerator is unavailable; the transaction was rolled back on all participants"
-                    .into(),
-            ));
+            return abort_all(Error::ResourceUnavailable(format!(
+                "the accelerator is unavailable; {ROLLED_BACK}"
+            )));
         }
+        // Phase 1: PREPARE requests. Undeliverable after retries means the
+        // participant never voted — presumed abort everywhere.
         for &i in ids {
-            self.sync_node_clock(&self.nodes[i]);
-            let shipped = self
-                .ship_traced_on(&self.nodes[i], trace, Direction::ToAccel, "prepare", wire::CONTROL_FRAME);
-            self.absorb_node_clock(&self.nodes[i]);
-            if shipped.is_err() {
-                abort_all(self);
-                self.host.rollback(txn)?;
-                return Err(Error::CommitFailed(
-                    "PREPARE could not be delivered to every fleet node; transaction rolled back"
-                        .into(),
-                ));
+            if let Err(e) = control(&self.nodes[i], Direction::ToAccel) {
+                return abort_all(Error::CommitFailed(format!(
+                    "PREPARE could not be delivered ({e}); {ROLLED_BACK}"
+                )));
             }
         }
+        // The PREPARE vote consults the failure registry: a fired
+        // `coord.prepare.vote_no` site (armed one-shot or seeded plan)
+        // makes a participant vote NO.
         if self.faults.registry.fire(sites::PREPARE_VOTE_NO) {
-            abort_all(self);
-            self.host.rollback(txn)?;
-            return Err(Error::CommitFailed(
-                "a fleet node voted NO during PREPARE; transaction rolled back".into(),
-            ));
+            return abort_all(Error::CommitFailed(format!(
+                "accelerator failed to prepare; {ROLLED_BACK}"
+            )));
         }
         for &i in ids {
-            if self.nodes[i].engine.prepare(txn).is_err() {
-                abort_all(self);
-                self.host.rollback(txn)?;
-                return Err(Error::CommitFailed(
-                    "a fleet node failed to prepare; transaction rolled back".into(),
-                ));
+            if let Err(e) = self.nodes[i].engine.prepare(txn) {
+                return abort_all(Error::CommitFailed(format!(
+                    "accelerator PREPARE failed ({e}); {ROLLED_BACK}"
+                )));
             }
         }
+        // The YES votes travel back. Losing one leaves the transaction
+        // in doubt on that node: it is prepared but the coordinator cannot
+        // see the outcome. The resolver re-runs the status inquiry once; if
+        // that fails too, every side rolls back (presumed abort).
         for &i in ids {
-            self.sync_node_clock(&self.nodes[i]);
-            let shipped = self
-                .ship_traced_on(&self.nodes[i], trace, Direction::ToHost, "vote", wire::CONTROL_FRAME);
-            self.absorb_node_clock(&self.nodes[i]);
-            if shipped.is_err() {
-                abort_all(self);
-                self.host.rollback(txn)?;
-                return Err(Error::CommitFailed(
-                    "a fleet node's commit vote was lost; transaction rolled back".into(),
-                ));
+            let node = &self.nodes[i];
+            if control(node, Direction::ToHost).is_err() {
+                let resolved = control(node, Direction::ToAccel).is_ok()
+                    && control(node, Direction::ToHost).is_ok();
+                if !resolved {
+                    return abort_all(Error::CommitFailed(
+                        "in-doubt transaction could not be resolved before timeout; rolled \
+                         back on all participants"
+                            .into(),
+                    ));
+                }
+                self.in_doubt_resolved.fetch_add(1, Ordering::Relaxed);
+                self.metrics.inc("twopc.in_doubt_resolved", 1);
             }
         }
+        // Phase 2: the decision is durable once the coordinator commits.
         self.host.commit(txn);
         for &i in ids {
             let node = &self.nodes[i];
-            self.sync_node_clock(node);
-            let decided = !node.engine.is_crashed()
-                && self
-                    .ship_traced_on(node, trace, Direction::ToAccel, "commit", wire::CONTROL_FRAME)
-                    .is_ok();
-            self.absorb_node_clock(node);
-            if !decided {
+            if node.engine.is_crashed() || control(node, Direction::ToAccel).is_err() {
+                // The COMMIT decision is queued and redelivered on the next
+                // replication round or recovery probe; the node holds the
+                // transaction prepared (durably — a crash re-materializes
+                // it from the log) until the decision arrives.
                 node.pending_commits.lock().push(txn);
                 self.metrics.inc("twopc.decisions_queued", 1);
             } else {

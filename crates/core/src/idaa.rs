@@ -18,7 +18,7 @@ use idaa_common::wire;
 use idaa_common::{Error, MetricsRegistry, ObjectName, Result, Row, Rows, Value};
 use idaa_host::{HostEngine, TableKind, TxnId, SYSADM};
 use idaa_netsim::{
-    sites, CrashPlan, Direction, DiskFaultPlan, FaultPlan, FaultRegistry, LinkConfig, NetLink,
+    CrashPlan, Direction, DiskFaultPlan, FaultPlan, FaultRegistry, LinkConfig, LinkError, NetLink,
     RetryPolicy,
 };
 use idaa_sql::ast::{Expr, InsertSource, Query, Statement};
@@ -94,8 +94,8 @@ impl Default for IdaaConfig {
 /// Link-level faults (drops, outage windows) are configured on the link
 /// itself via [`Idaa::set_fault_plan`]; conditions the link cannot express
 /// go through the unified [`FaultRegistry`] — a [`CrashPlan`] names crash
-/// sites (or protocol sites like [`sites::PREPARE_VOTE_NO`]) and the
-/// registry replays the same firings for a given seed. One registry is
+/// sites (or protocol sites like [`idaa_netsim::sites::PREPARE_VOTE_NO`])
+/// and the registry replays the same firings for a given seed. One registry is
 /// shared between the coordinator and the accelerator engine so a single
 /// plan drives both.
 #[derive(Debug, Default)]
@@ -175,13 +175,16 @@ pub struct QueueInfo {
 /// The federated DB2 + accelerator system.
 ///
 /// The accelerator side is a *fleet* of one or more [`AccelNode`]s, each
-/// behind its own metered link and fault registry. With the default
-/// [`FleetConfig`] (one node, one shard) every path reduces to the paper's
-/// single-accelerator pairing; larger fleets shard accelerator-only tables
-/// and scatter/gather queries across the owning nodes.
+/// behind its own metered link and fault registry. The default
+/// [`FleetConfig`] is the paper's single accelerator: a fleet of one node
+/// that runs the same node-generic enlistment, exchange and two-phase
+/// commit as any larger fleet. Larger fleets additionally shard
+/// accelerator-only tables and scatter/gather queries across the owning
+/// nodes.
 pub struct Idaa {
     pub(crate) host: Arc<HostEngine>,
-    /// The accelerator fleet; node 0 is the legacy single accelerator.
+    /// The accelerator fleet. Node 0 holds every unsharded accelerator
+    /// table and serves queries that read no sharded table.
     pub(crate) nodes: Vec<Arc<AccelNode>>,
     /// Shard placement, failover, and catch-up bookkeeping.
     pub(crate) fleet: FleetState,
@@ -190,7 +193,7 @@ pub struct Idaa {
     pub faults: Faults,
     pub(crate) retry: RetryPolicy,
     /// In-doubt transactions resolved by the 2PC resolver (diagnostics).
-    in_doubt_resolved: AtomicU64,
+    pub(crate) in_doubt_resolved: AtomicU64,
     /// Redelivered statements the receiver discarded as duplicates
     /// (diagnostics).
     statements_deduped: AtomicU64,
@@ -245,8 +248,9 @@ impl Idaa {
         };
         // Mirror delivered/failed link traffic into the metrics registry
         // from the first transfer, so the per-link counters reconcile with
-        // `LinkMetrics` by construction: node 0 keeps the legacy `link.*`
-        // names, node i mirrors under `link.node{i}.*`.
+        // `LinkMetrics` by construction: node 0 keeps the single
+        // accelerator's `link.*` names, node i mirrors under
+        // `link.node{i}.*`.
         for node in &idaa.nodes {
             if node.id == 0 {
                 node.link.set_metrics(idaa.metrics.clone());
@@ -259,12 +263,6 @@ impl Idaa {
                 .expect("registering system procedures cannot fail");
         }
         idaa
-    }
-
-    /// The first (preferred-primary) accelerator node — the legacy single
-    /// accelerator every default-configured path talks to.
-    pub(crate) fn node0(&self) -> &AccelNode {
-        &self.nodes[0]
     }
 
     /// Open a session for `user`. When the system's [`TraceSink`] is
@@ -374,9 +372,10 @@ impl Idaa {
         self.faults.registry.set_disk_plan(plan);
     }
 
-    /// Stats of the most recent accelerator crash recovery, if any.
+    /// Stats of the most recent crash recovery of the accelerator (node 0
+    /// of the fleet), if any.
     pub fn last_restart(&self) -> Option<RestartStats> {
-        *self.node0().last_restart.lock()
+        *self.nodes[0].last_restart.lock()
     }
 
     /// Messages discarded because they carried a pre-crash recovery
@@ -385,9 +384,10 @@ impl Idaa {
         self.statements_fenced.load(Ordering::Relaxed)
     }
 
-    /// COMMIT decisions queued for redelivery (phase-2 message lost).
+    /// COMMIT decisions queued for redelivery (phase-2 message lost),
+    /// summed over every node.
     pub fn pending_accel_commits(&self) -> usize {
-        self.node0().pending_commits.lock().len()
+        self.nodes.iter().map(|n| n.pending_commits.lock().len()).sum()
     }
 
     /// In-doubt transactions the 2PC resolver recovered (diagnostics).
@@ -401,9 +401,11 @@ impl Idaa {
         self.statements_deduped.load(Ordering::Relaxed)
     }
 
-    /// Committed change records not yet applied on the accelerator.
+    /// Committed change records not yet applied on every node: the backlog
+    /// behind the slowest replication stream.
     pub fn replication_backlog(&self) -> usize {
-        let watermark = self.node0().replicator.lock().last_applied();
+        let watermark =
+            self.nodes.iter().map(|n| n.replicator.lock().last_applied()).min().unwrap_or(0);
         self.host.txns.changes_since(watermark).len()
     }
 
@@ -430,7 +432,7 @@ impl Idaa {
     /// federation path sends through here so consecutive communication
     /// failures decay the accelerator's health state.
     pub fn ship(&self, direction: Direction, bytes: usize) -> Result<Duration> {
-        self.ship_on(self.node0(), direction, bytes)
+        self.ship_on(&self.nodes[0], direction, bytes)
     }
 
     /// [`Idaa::ship`] against a specific fleet node's link and health
@@ -441,36 +443,26 @@ impl Idaa {
         direction: Direction,
         bytes: usize,
     ) -> Result<Duration> {
-        match self.retry.transfer(&node.link, direction, bytes) {
-            Ok(cost) => {
-                node.health.record_success();
-                Ok(cost)
-            }
-            Err(e) => {
-                node.health.record_failure();
-                Err(Error::LinkFailure(format!(
-                    "communication with the accelerator failed: {e}"
-                )))
-            }
-        }
+        Self::settle(node, self.retry.transfer(&node.link, direction, bytes))
     }
 
-    /// Ship one encoded row frame over the link with the same bounded
+    /// Ship one encoded row frame to or from one node with the same bounded
     /// retry and health accounting as [`Idaa::ship`]. A frame rejected by
     /// the receiver's checksum ([`idaa_common::wire::verify`]) is
     /// retransmitted like any other lost message.
-    pub fn ship_frame(&self, direction: Direction, frame: &[u8]) -> Result<Duration> {
-        self.ship_frame_on(self.node0(), direction, frame)
-    }
-
-    /// [`Idaa::ship_frame`] against a specific fleet node.
     pub(crate) fn ship_frame_on(
         &self,
         node: &AccelNode,
         direction: Direction,
         frame: &[u8],
     ) -> Result<Duration> {
-        match self.retry.transfer_frame(&node.link, direction, frame) {
+        Self::settle(node, self.retry.transfer_frame(&node.link, direction, frame))
+    }
+
+    /// Feed a retried send's outcome to the node's health monitor; a send
+    /// that exhausted its retries fails with SQLCODE -30081.
+    fn settle(node: &AccelNode, sent: std::result::Result<Duration, LinkError>) -> Result<Duration> {
+        match sent {
             Ok(cost) => {
                 node.health.record_success();
                 Ok(cost)
@@ -495,31 +487,11 @@ impl Idaa {
         schema: &idaa_common::Schema,
         rows: &[Row],
     ) -> Result<Vec<Row>> {
-        self.ship_rows_on(self.node0(), direction, schema, rows)
+        self.ship_rows_on(&self.nodes[0], &Trace::disabled(), direction, schema, rows)
     }
 
-    /// [`Idaa::ship_rows`] against a specific fleet node.
-    pub(crate) fn ship_rows_on(
-        &self,
-        node: &AccelNode,
-        direction: Direction,
-        schema: &idaa_common::Schema,
-        rows: &[Row],
-    ) -> Result<Vec<Row>> {
-        let mut delivered = Vec::with_capacity(rows.len());
-        for frame in wire::encode_frames(schema, rows) {
-            self.ship_frame_on(node, direction, &frame)?;
-            delivered.extend(wire::decode_rows(&frame, schema)?);
-        }
-        Ok(delivered)
-    }
-
-    /// Charge DDL/control-message shipping to the link.
-    pub fn ship_ddl(&self, text: &str) -> Result<()> {
-        self.ship_ddl_on(self.node0(), text)
-    }
-
-    /// [`Idaa::ship_ddl`] against a specific fleet node.
+    /// Charge a DDL/control message and its acknowledgement to one node's
+    /// link.
     pub(crate) fn ship_ddl_on(&self, node: &AccelNode, text: &str) -> Result<()> {
         self.ship_on(node, Direction::ToAccel, text.len() + wire::CONTROL_FRAME)?;
         self.ship_on(node, Direction::ToHost, wire::CONTROL_FRAME)?;
@@ -597,7 +569,8 @@ impl Idaa {
         // each copy pays its own link cost.
         let mut n = 0;
         for node in &self.nodes {
-            let delivered = self.ship_rows_on(node, Direction::ToAccel, &meta.schema, &rows)?;
+            let delivered =
+                self.ship_rows_on(node, &Trace::disabled(), Direction::ToAccel, &meta.schema, &rows)?;
             node.engine.truncate(&meta.name)?;
             n = node.engine.load_committed(&meta.name, delivered)?;
             self.ship_on(node, Direction::ToHost, wire::ACK_FRAME)?;
@@ -685,11 +658,9 @@ impl Idaa {
 
     /// True when statements may be sent to one fleet node: its engine is
     /// not stopped, and its own health state machine has not declared it
-    /// offline. While offline, a rate-limited probe (virtual clock) checks
-    /// for recovery; a successful probe flushes queued commit decisions and
-    /// lets replication catch up before reporting ready. A recovered node
-    /// in a fleet additionally catches up its shard copies from a live
-    /// replica.
+    /// offline. While offline, a rate-limited probe (virtual clock) runs
+    /// the same recovery as [`Idaa::recover_node`]. A node marked as having
+    /// missed shard writes catches up from a live replica before serving.
     pub(crate) fn node_ready(&self, node: &AccelNode) -> bool {
         if self.faults.accel_unavailable.load(Ordering::Relaxed) {
             return false;
@@ -699,28 +670,10 @@ impl Idaa {
             // failure streaks said when the crash point fired.
             node.health.force_offline();
         }
-        if node.health.state() != HealthState::Offline {
-            if self.fleet_active() && self.fleet.needs_catch_up(node.id) {
-                // The node missed writes while unreachable: refresh its
-                // shard copies from a live replica before serving reads.
-                return self.catch_up_node(node).is_ok()
-                    && !self.fleet.needs_catch_up(node.id);
-            }
-            return true;
+        if node.health.state() == HealthState::Offline {
+            return node.health.should_probe(node.link.now()) && self.recover_node(node.id);
         }
-        if node.health.should_probe(node.link.now())
-            && node.health.probe(&node.link, &self.retry)
-        {
-            if node.engine.is_crashed() && self.restart_node(node).is_err() {
-                return false;
-            }
-            if self.fleet_active() && self.catch_up_node(node).is_err() {
-                return false;
-            }
-            let _ = self.replicate_now();
-            return true;
-        }
-        false
+        self.catch_up_node(node).is_ok()
     }
 
     /// Force a recovery probe immediately, ignoring the probe interval
@@ -730,12 +683,6 @@ impl Idaa {
     /// up. Returns whether the accelerator is available again.
     pub fn recover(&self) -> bool {
         self.recover_node(0)
-    }
-
-    /// [`Idaa::accel_ready`], recording an "accel.restart" trace event when
-    /// the readiness check drove a crash recovery.
-    pub(crate) fn accel_ready_traced(&self, trace: &Trace) -> bool {
-        self.node_ready_traced(self.node0(), trace)
     }
 
     /// [`Idaa::node_ready`], recording an "accel.restart" trace event when
@@ -753,9 +700,7 @@ impl Idaa {
                 // the node's state from the host and replicas.
                 trace.attr(id, "rebuilt", true);
             }
-            if self.fleet_active() {
-                trace.attr(id, "node", node.engine.identity());
-            }
+            self.node_attr(trace, id, node);
             if let Some(stats) = *node.last_restart.lock() {
                 trace.attr(
                     id,
@@ -906,8 +851,13 @@ impl Idaa {
                         )?;
                         if meta.accel_status == idaa_host::AccelStatus::Loaded {
                             let rows = self.host.scan_all(&meta.name)?;
-                            let delivered =
-                                self.ship_rows_on(node, Direction::ToAccel, &meta.schema, &rows)?;
+                            let delivered = self.ship_rows_on(
+                                node,
+                                &Trace::disabled(),
+                                Direction::ToAccel,
+                                &meta.schema,
+                                &rows,
+                            )?;
                             node.engine.load_committed(&meta.name, delivered)?;
                             self.ship_on(node, Direction::ToHost, wire::ACK_FRAME)?;
                         }
@@ -1137,10 +1087,18 @@ impl Idaa {
         }
     }
 
+    /// The one trace naming rule: in a fleet of more than one node or shard,
+    /// spans name the node they ran against (`node=ACCEL{i}`), so per-shard
+    /// breakdowns fall out of the span tree; the single accelerator's
+    /// spans carry no node attribute.
+    fn node_attr(&self, trace: &Trace, id: SpanId, node: &AccelNode) {
+        if self.fleet_active() {
+            trace.attr(id, "node", node.engine.identity());
+        }
+    }
+
     /// Record a zero-duration "transfer" trace event (one link message)
-    /// against a specific fleet node's link; in a fleet the event also
-    /// carries the node identity so per-shard transfer breakdowns fall out
-    /// of the span tree.
+    /// against a specific fleet node's link.
     pub(crate) fn transfer_event_on(
         &self,
         node: &AccelNode,
@@ -1162,27 +1120,14 @@ impl Idaa {
         trace.attr(id, "dir", dir);
         trace.attr(id, "kind", kind);
         trace.attr(id, "bytes", bytes);
-        if self.fleet_active() {
-            trace.attr(id, "node", node.engine.identity());
-        }
+        self.node_attr(trace, id, node);
         if let Some(e) = err {
             trace.attr(id, "err", e);
         }
         trace.end(id, now);
     }
 
-    /// [`Idaa::ship`] with a "transfer" trace event for the outcome.
-    fn ship_traced(
-        &self,
-        trace: &Trace,
-        direction: Direction,
-        kind: &str,
-        bytes: usize,
-    ) -> Result<Duration> {
-        self.ship_traced_on(self.node0(), trace, direction, kind, bytes)
-    }
-
-    /// [`Idaa::ship_traced`] against a specific fleet node.
+    /// [`Idaa::ship_on`] with a "transfer" trace event for the outcome.
     pub(crate) fn ship_traced_on(
         &self,
         node: &AccelNode,
@@ -1203,20 +1148,10 @@ impl Idaa {
         }
     }
 
-    /// [`Idaa::ship_rows`] with one "transfer" trace event per encoded
-    /// wire frame (kind `frame`, sized at the encoded frame length).
-    fn ship_rows_traced(
-        &self,
-        trace: &Trace,
-        direction: Direction,
-        schema: &idaa_common::Schema,
-        rows: &[Row],
-    ) -> Result<Vec<Row>> {
-        self.ship_rows_traced_on(self.node0(), trace, direction, schema, rows)
-    }
-
-    /// [`Idaa::ship_rows_traced`] against a specific fleet node.
-    pub(crate) fn ship_rows_traced_on(
+    /// [`Idaa::ship_rows`] against one node, with one "transfer" trace
+    /// event per encoded wire frame (kind `frame`, sized at the encoded
+    /// frame length).
+    pub(crate) fn ship_rows_on(
         &self,
         node: &AccelNode,
         trace: &Trace,
@@ -1311,28 +1246,14 @@ impl Idaa {
                     // Nickname proxy exists in DB2; actual table lives on
                     // the accelerator.
                     let resolved = name.resolve(&self.config.default_schema);
-                    if self.fleet_active() {
-                        // Sharded placement: every owning node gets its
-                        // shard's physical table.
-                        if let Err(e) = self.fleet_create_sharded(
-                            &resolved,
-                            &schema,
-                            distribute_by,
-                            &stmt.to_string(),
-                        ) {
-                            let _ = self.host.drop_table(SYSADM, name);
-                            return Err(e);
-                        }
-                        return Ok(ExecOutcome::accel(Payload::None));
-                    }
-                    if let Err(e) = self.ship_ddl(&stmt.to_string()) {
+                    if let Err(e) = self.fleet_create_table(
+                        &resolved,
+                        &schema,
+                        distribute_by,
+                        &stmt.to_string(),
+                    ) {
                         // DDL never reached the accelerator: undo the
                         // catalog entry so both sides stay consistent.
-                        let _ = self.host.drop_table(SYSADM, name);
-                        return Err(e);
-                    }
-                    if let Err(e) = self.accel().create_table(&resolved, schema, distribute_by) {
-                        // Keep catalog and accelerator consistent.
                         let _ = self.host.drop_table(SYSADM, name);
                         return Err(e);
                     }
@@ -1349,12 +1270,7 @@ impl Idaa {
                     // Best effort: the DB2 catalog entry is gone either
                     // way; an unreachable accelerator cleans up its copy
                     // when the DDL is redelivered on recovery.
-                    if self.fleet_active() {
-                        self.fleet_drop_table(&meta.name, &stmt.to_string());
-                        return Ok(ExecOutcome::accel(Payload::None));
-                    }
-                    let _ = self.ship_ddl(&stmt.to_string());
-                    let _ = self.accel().drop_table(&meta.name);
+                    self.fleet_drop_table(&meta.name, &stmt.to_string());
                     return Ok(ExecOutcome::accel(Payload::None));
                 }
                 Ok(ExecOutcome::host(Payload::None))
@@ -1411,23 +1327,13 @@ impl Idaa {
                             &table_r,
                             Privilege::Update,
                         )?;
-                        if self.fleet_active() && self.fleet.is_sharded(&table_r) {
-                            let n = self.fleet_dml_each_shard(
-                                session,
-                                &table_r,
-                                stmt.to_string().len() + wire::CONTROL_FRAME,
-                                |node, txn, st| {
-                                    node.engine.update_where(txn, st, assignments, filter.as_ref())
-                                },
-                            )?;
-                            return Ok(ExecOutcome::accel(Payload::Count(n)));
-                        }
-                        let txn = self.enlist_accel(session)?;
-                        let n = self.accel_exchange(
+                        let n = self.accel_write(
                             session,
+                            &table_r,
                             stmt.to_string().len() + wire::CONTROL_FRAME,
-                            || self.accel().update_where(txn, &table_r, assignments, filter.as_ref()),
-                            |_| ReplyPayload::Control(wire::ACK_FRAME),
+                            |engine, txn, t| {
+                                engine.update_where(txn, t, assignments, filter.as_ref())
+                            },
                         )?;
                         Ok(ExecOutcome::accel(Payload::Count(n)))
                     }
@@ -1448,23 +1354,11 @@ impl Idaa {
                             &table_r,
                             Privilege::Delete,
                         )?;
-                        if self.fleet_active() && self.fleet.is_sharded(&table_r) {
-                            let n = self.fleet_dml_each_shard(
-                                session,
-                                &table_r,
-                                stmt.to_string().len() + wire::CONTROL_FRAME,
-                                |node, txn, st| {
-                                    node.engine.delete_where(txn, st, filter.as_ref())
-                                },
-                            )?;
-                            return Ok(ExecOutcome::accel(Payload::Count(n)));
-                        }
-                        let txn = self.enlist_accel(session)?;
-                        let n = self.accel_exchange(
+                        let n = self.accel_write(
                             session,
+                            &table_r,
                             stmt.to_string().len() + wire::CONTROL_FRAME,
-                            || self.accel().delete_where(txn, &table_r, filter.as_ref()),
-                            |_| ReplyPayload::Control(wire::ACK_FRAME),
+                            |engine, txn, t| engine.delete_where(txn, t, filter.as_ref()),
                         )?;
                         Ok(ExecOutcome::accel(Payload::Count(n)))
                     }
@@ -1644,11 +1538,11 @@ impl Idaa {
         // data still lives there; fail when only the accelerator could
         // answer.
         let must_accelerate = router::must_accelerate(&mix, session.acceleration);
-        // Fleet readiness is judged per shard inside the scatter — only the
-        // single-accelerator path gates on node 0 here.
-        if route == Route::Accelerator
-            && !self.fleet_active()
-            && !self.accel_ready_traced(&trace)
+        // Readiness of a sharded table is judged per shard inside the
+        // scatter; everything else runs on node 0, gated here.
+        let sharded =
+            route == Route::Accelerator && tables.iter().any(|t| self.fleet.is_sharded(t));
+        if route == Route::Accelerator && !sharded && !self.node_ready_traced(&self.nodes[0], &trace)
         {
             if must_accelerate {
                 return Err(self.unavailable_error());
@@ -1670,7 +1564,7 @@ impl Idaa {
                     self.privilege_event(&trace, t, "SELECT");
                 }
             }
-            let attempt = if self.fleet_active() {
+            let attempt = if sharded {
                 self.fleet_query(session, q, &tables)
             } else {
                 self.accel_query(session, q)
@@ -1684,17 +1578,6 @@ impl Idaa {
                         &trace,
                         Route::Host,
                         "communication failed mid-statement; re-executing locally",
-                        session,
-                    );
-                }
-                // A fleet judges readiness per shard: losing every replica
-                // of a shard surfaces here, and the host still holds the
-                // data unless the query must accelerate.
-                Err(Error::ResourceUnavailable(_)) if self.fleet_active() && !must_accelerate => {
-                    self.route_event(
-                        &trace,
-                        Route::Host,
-                        "accelerator unavailable; falling back to DB2",
                         session,
                     );
                 }
@@ -1778,22 +1661,25 @@ impl Idaa {
         trace.end(id, now);
     }
 
-    /// Run a routed query on the accelerator: ship the statement, execute,
-    /// and pay for the result set's trip back to DB2 as an encoded wire
-    /// frame. The result handed to the caller is decoded from that frame.
-    pub(crate) fn accel_query(&self, session: &mut Session, q: &Query) -> Result<Rows> {
-        let txn = self.accel_query_txn(session);
+    /// Run a routed query that reads no sharded table on node 0: ship the
+    /// statement, execute, and pay for the result set's trip back to DB2 as
+    /// an encoded wire frame. The result handed to the caller is decoded
+    /// from that frame.
+    fn accel_query(&self, session: &mut Session, q: &Query) -> Result<Rows> {
+        let node = &self.nodes[0];
+        let txn = self.node_query_txn(session, node);
         let trace = session.trace.clone();
-        let (rows, frame) = self.accel_exchange_inner(
+        let (rows, frame) = self.exchange_on(
+            node,
             session,
             q.to_string().len() + wire::CONTROL_FRAME,
             || {
                 if trace.is_enabled() {
-                    let (rows, plan, profile) = self.accel().query_profiled(txn, q)?;
+                    let (rows, plan, profile) = node.engine.query_profiled(txn, q)?;
                     self.emit_plan_spans(&trace, &plan, &profile);
                     Ok(rows)
                 } else {
-                    self.accel().query(txn, q)
+                    node.engine.query(txn, q)
                 }
             },
             |r: &Rows| ReplyPayload::Frame(wire::encode_frame(&r.schema, &r.rows)),
@@ -1827,13 +1713,13 @@ impl Idaa {
                 out
             }
             InsertSource::Query(src_q) => {
-                // Pushdown path — the paper's contribution: an AOT target
-                // whose source tables all exist on the accelerator executes
-                // entirely there; only the statement text crosses the link.
-                // In a fleet the source shards live on different nodes, so
-                // the source query runs through the scatter path below and
-                // the insert re-shards its result.
-                if meta.kind == TableKind::AcceleratorOnly && !self.fleet_active() {
+                // Pushdown path — the paper's contribution: an unsharded AOT
+                // target whose source tables all exist, unsharded, on the
+                // same node executes entirely there; only the statement text
+                // crosses the link. Sharded tables live on different nodes,
+                // so such a source query runs through the scatter path below
+                // and the insert re-shards its result.
+                if meta.kind == TableKind::AcceleratorOnly && !self.fleet.is_sharded(&target) {
                     let plan = plan_query(src_q, &*self.host)?;
                     let src_tables: Vec<ObjectName> = plan
                         .tables()
@@ -1841,7 +1727,7 @@ impl Idaa {
                         .map(|t| t.resolve(&self.config.default_schema))
                         .collect();
                     let mix = router::classify(&self.host, &src_tables)?;
-                    if mix.host_only == 0 {
+                    if mix.host_only == 0 && !src_tables.iter().any(|t| self.fleet.is_sharded(t)) {
                         let privs = self.host.privileges.read();
                         privs.check(&session.user, &target, Privilege::Insert)?;
                         for t in &src_tables {
@@ -1851,21 +1737,20 @@ impl Idaa {
                             privs.check(&session.user, t, Privilege::Select)?;
                         }
                         drop(privs);
-                        let txn = self.enlist_accel(session)?;
                         let sql = format!("INSERT INTO {target} {src_q}");
-                        let n = self.accel_exchange(
+                        let n = self.accel_write(
                             session,
+                            &target,
                             sql.len() + wire::CONTROL_FRAME,
-                            || {
-                                let result = self.accel().query(txn, src_q)?;
+                            |engine, txn, t| {
+                                let result = engine.query(txn, src_q)?;
                                 let rows: Vec<Row> = result
                                     .rows
                                     .into_iter()
                                     .map(|r| self.widen_row(&meta.schema, columns, r))
                                     .collect::<Result<_>>()?;
-                                self.accel().insert_rows(txn, &target, rows)
+                                engine.insert_rows(txn, t, rows)
                             },
-                            |_| ReplyPayload::Control(wire::ACK_FRAME),
                         )?;
                         return Ok(ExecOutcome::accel(Payload::Count(n)));
                     }
@@ -1893,26 +1778,22 @@ impl Idaa {
             }
             TableKind::AcceleratorOnly => {
                 self.host.privileges.read().check(&session.user, &target, Privilege::Insert)?;
-                if self.fleet_active() && self.fleet.is_sharded(&target) {
-                    let n = self.fleet_insert_rows(
+                // Rows originate on the host side (VALUES literals or a
+                // host-executed source query): they cross the link as
+                // encoded frames and the accelerator inserts what it
+                // decodes.
+                let n = if self.fleet.is_sharded(&target) {
+                    self.fleet_insert_rows(
                         session,
                         &target,
                         &meta.schema,
                         &meta.distribute_by,
                         rows,
-                    )?;
-                    return Ok(ExecOutcome::accel(Payload::Count(n)));
-                }
-                let txn = self.enlist_accel(session)?;
-                let trace = session.trace.clone();
-                // Rows originate on the host side (VALUES literals or a
-                // host-executed source query): they cross the link as
-                // encoded frames and the accelerator inserts what it
-                // decodes.
-                let delivered =
-                    self.ship_rows_traced(&trace, Direction::ToAccel, &meta.schema, &rows)?;
-                let n = self.accel().insert_rows(txn, &target, delivered)?;
-                self.ship_traced(&trace, Direction::ToHost, "control", wire::ACK_FRAME)?;
+                    )?
+                } else {
+                    let node = self.ready_home_node(&session.trace)?;
+                    self.insert_on(session, node, &target, &meta.schema, &rows)?
+                };
                 Ok(ExecOutcome::accel(Payload::Count(n)))
             }
         }
@@ -1956,16 +1837,6 @@ impl Idaa {
         }
     }
 
-    /// Transaction id used for a read-only accelerator query: the session's
-    /// transaction when one is open and enlisted (own-writes visibility),
-    /// else 0 (fresh snapshot).
-    fn accel_query_txn(&self, session: &mut Session) -> TxnId {
-        match session.txn {
-            Some(t) if self.host.txns.accelerator_enlisted(t) => t,
-            _ => 0,
-        }
-    }
-
     /// Transaction id for a read on one fleet node: the session's
     /// transaction when that node is enlisted in it, else 0.
     pub(crate) fn node_query_txn(&self, session: &Session, node: &AccelNode) -> TxnId {
@@ -1985,31 +1856,79 @@ impl Idaa {
             self.ship_traced_on(node, &trace, Direction::ToAccel, "control", wire::CONTROL_FRAME)?;
             node.engine.begin(txn);
             self.fleet.enlist(txn, node.id);
-            self.host.txns.enlist_accelerator(txn);
         }
         Ok(txn)
     }
 
-    /// Enlist the accelerator in the session's transaction (starting one if
-    /// needed) — required for AOT DML so that the paper's own-uncommitted-
-    /// changes visibility holds.
-    fn enlist_accel(&self, session: &mut Session) -> Result<TxnId> {
+    /// The home node of every unsharded accelerator table (node 0), once
+    /// its readiness check passes; otherwise the -904/-30081 a statement
+    /// that requires it gets.
+    fn ready_home_node(&self, trace: &Trace) -> Result<&AccelNode> {
+        let node = &self.nodes[0];
+        if self.node_ready_traced(node, trace) {
+            Ok(node)
+        } else {
+            Err(self.unavailable_error())
+        }
+    }
+
+    /// Run one accelerator write (`op` against an engine, the session's
+    /// transaction, and a physical table) on an AOT: on every live owner of
+    /// every shard when `table` is sharded, else on node 0. Enlists each
+    /// node that runs it, so own-uncommitted visibility holds.
+    fn accel_write(
+        &self,
+        session: &mut Session,
+        table: &ObjectName,
+        request_bytes: usize,
+        op: impl Fn(&AccelEngine, TxnId, &ObjectName) -> Result<usize>,
+    ) -> Result<usize> {
+        if self.fleet.is_sharded(table) {
+            return self.fleet_dml_each_shard(session, table, request_bytes, op);
+        }
+        let node = self.ready_home_node(&session.trace)?;
+        self.write_on(session, node, request_bytes, |txn| op(&node.engine, txn, table))
+    }
+
+    /// Enlist `node` and exchange one write statement with it; the reply is
+    /// a control acknowledgement carrying the affected-row count.
+    pub(crate) fn write_on(
+        &self,
+        session: &mut Session,
+        node: &AccelNode,
+        request_bytes: usize,
+        op: impl FnOnce(TxnId) -> Result<usize>,
+    ) -> Result<usize> {
+        let txn = self.enlist_node(session, node)?;
+        let (n, _) = self.exchange_on(node, session, request_bytes, || op(txn), |_| {
+            ReplyPayload::Control(wire::ACK_FRAME)
+        })?;
+        Ok(n)
+    }
+
+    /// Enlist `node`, ship `rows` to it as encoded frames, and insert what
+    /// it decodes into `table`; the node acknowledges with one control
+    /// message.
+    pub(crate) fn insert_on(
+        &self,
+        session: &mut Session,
+        node: &AccelNode,
+        table: &ObjectName,
+        schema: &idaa_common::Schema,
+        rows: &[Row],
+    ) -> Result<usize> {
+        let txn = self.enlist_node(session, node)?;
         let trace = session.trace.clone();
-        if !self.accel_ready_traced(&trace) {
-            return Err(self.unavailable_error());
-        }
-        let txn = self.ensure_txn(session);
-        if !self.host.txns.accelerator_enlisted(txn) {
-            // BEGIN message
-            self.ship_traced(&trace, Direction::ToAccel, "control", wire::CONTROL_FRAME)?;
-            self.accel().begin(txn);
-            self.host.txns.enlist_accelerator(txn);
-        }
-        Ok(txn)
+        let delivered = self.ship_rows_on(node, &trace, Direction::ToAccel, schema, rows)?;
+        let n = node.engine.insert_rows(txn, table, delivered)?;
+        self.ship_traced_on(node, &trace, Direction::ToHost, "control", wire::ACK_FRAME)?;
+        Ok(n)
     }
 
-    /// One statement exchange with the accelerator: deliver the request
-    /// (at least once), execute it exactly once, and deliver the reply.
+    /// One statement exchange with one node: deliver the request (at least
+    /// once), execute it exactly once, and deliver the reply. The exchange
+    /// rides that node's link, health monitor, sequence tracker, and
+    /// recovery epoch.
     ///
     /// The 32-byte request envelope carries the session id and a
     /// per-session sequence number. A lost *request* attempt means the
@@ -2021,33 +1940,10 @@ impl Idaa {
     /// ride the bounded backoff of `self.retry` on the virtual clock;
     /// exhausting it fails the statement with SQLCODE -30081, and the
     /// outcome feeds the health monitor like every other federation path.
-    fn accel_exchange<T>(
-        &self,
-        session: &mut Session,
-        request_bytes: usize,
-        exec: impl FnOnce() -> Result<T>,
-        reply: impl Fn(&T) -> ReplyPayload,
-    ) -> Result<T> {
-        Ok(self.accel_exchange_inner(session, request_bytes, exec, reply)?.0)
-    }
-
-    /// [`Idaa::accel_exchange`], also returning the encoded reply frame
-    /// when the reply was a row frame — the host side decodes its result
-    /// set from that frame, not from the accelerator's in-memory rows.
-    fn accel_exchange_inner<T>(
-        &self,
-        session: &mut Session,
-        request_bytes: usize,
-        exec: impl FnOnce() -> Result<T>,
-        reply: impl Fn(&T) -> ReplyPayload,
-    ) -> Result<(T, Option<Vec<u8>>)> {
-        let node = self.nodes[0].clone();
-        self.exchange_on(&node, session, request_bytes, exec, reply)
-    }
-
-    /// [`Idaa::accel_exchange_inner`] against a specific fleet node: the
-    /// exchange rides that node's link, health monitor, sequence tracker,
-    /// and recovery epoch.
+    ///
+    /// Also returns the encoded reply frame when the reply was a row frame
+    /// — the host side decodes its result set from that frame, not from
+    /// the accelerator's in-memory rows.
     pub(crate) fn exchange_on<T>(
         &self,
         node: &AccelNode,
@@ -2157,9 +2053,9 @@ impl Idaa {
         ))
     }
 
-    /// Commit the session's transaction. When the accelerator participated,
-    /// run two-phase commit: PREPARE on the accelerator, COMMIT on DB2 (the
-    /// coordinator), COMMIT on the accelerator.
+    /// Commit the session's transaction. When accelerator nodes
+    /// participated, run two-phase commit: PREPARE on every enlisted node,
+    /// COMMIT on DB2 (the coordinator), COMMIT on every enlisted node.
     pub fn commit_session(&self, session: &mut Session) -> Result<()> {
         let Some(txn) = session.txn.take() else { return Ok(()) };
         let trace = session.trace.clone();
@@ -2168,22 +2064,17 @@ impl Idaa {
         } else {
             None
         };
-        let fleet_ids =
-            if self.fleet_active() { self.fleet.take_enlisted(txn) } else { Vec::new() };
-        let enlisted = self.host.txns.accelerator_enlisted(txn);
+        let enlisted = self.fleet.take_enlisted(txn);
         if let Some(id) = span {
-            trace.attr(id, "kind", if enlisted { "2pc" } else { "local" });
+            trace.attr(id, "kind", if enlisted.is_empty() { "local" } else { "2pc" });
         }
-        let result = if !fleet_ids.is_empty() {
-            self.metrics.inc("commits.twopc", 1);
-            self.commit_two_phase_fleet(&trace, txn, &fleet_ids)
-        } else if enlisted {
-            self.metrics.inc("commits.twopc", 1);
-            self.commit_two_phase(&trace, txn)
-        } else {
+        let result = if enlisted.is_empty() {
             self.metrics.inc("commits.local", 1);
             self.host.commit(txn);
             Ok(())
+        } else {
+            self.metrics.inc("commits.twopc", 1);
+            self.commit_two_phase_fleet(&trace, txn, &enlisted)
         };
         if let Err(e) = result {
             if let Some(id) = span {
@@ -2260,116 +2151,16 @@ impl Idaa {
         }
     }
 
-    /// Two-phase commit with an enlisted accelerator, hardened against a
-    /// stopped accelerator and link-level message loss at every step.
-    fn commit_two_phase(&self, trace: &Trace, txn: TxnId) -> Result<()> {
-        // A stopped or crashed accelerator cannot vote: presume abort on
-        // both sides. (A crashed engine's copy of the transaction is
-        // aborted durably when recovery replays the log.)
-        if self.faults.accel_unavailable.load(Ordering::Relaxed) || self.accel().is_crashed() {
-            self.accel().abort(txn);
-            self.host.rollback(txn)?;
-            return Err(Error::ResourceUnavailable(
-                "the accelerator is unavailable; transaction rolled back on all \
-                 participants"
-                    .into(),
-            ));
-        }
-        // Phase 1: PREPARE request. Undeliverable after retries means the
-        // participant never voted — presumed abort everywhere.
-        if let Err(e) = self.ship_traced(trace, Direction::ToAccel, "control", wire::CONTROL_FRAME)
-        {
-            self.accel().abort(txn);
-            self.host.rollback(txn)?;
-            return Err(Error::CommitFailed(format!(
-                "PREPARE could not be delivered ({e}); transaction rolled back on all \
-                 participants"
-            )));
-        }
-        // The PREPARE vote consults the failure registry: a fired
-        // `coord.prepare.vote_no` site (armed one-shot or seeded plan)
-        // makes this participant vote NO.
-        let prepare_ok = !self.faults.registry.fire(sites::PREPARE_VOTE_NO);
-        if !prepare_ok {
-            // Vote NO: roll back everywhere.
-            self.accel().abort(txn);
-            self.host.rollback(txn)?;
-            return Err(Error::CommitFailed(
-                "accelerator failed to prepare; transaction rolled back on all \
-                 participants"
-                    .into(),
-            ));
-        }
-        if let Err(e) = self.accel().prepare(txn) {
-            // A NO vote (or protocol error) aborts everywhere; the host
-            // transaction must not stay open holding locks.
-            self.accel().abort(txn);
-            self.host.rollback(txn)?;
-            return Err(Error::CommitFailed(format!(
-                "accelerator PREPARE failed ({e}); transaction rolled back on all \
-                 participants"
-            )));
-        }
-        // The YES vote travels back. Losing it leaves the transaction
-        // in-doubt: the participant is prepared but the coordinator cannot
-        // see the outcome. The resolver re-runs the status inquiry once;
-        // if that fails too, both sides roll back (presumed abort).
-        if self.ship_traced(trace, Direction::ToHost, "control", wire::CONTROL_FRAME).is_err() {
-            let recovered = self
-                .ship_traced(trace, Direction::ToAccel, "control", wire::CONTROL_FRAME)
-                .is_ok()
-                && self
-                    .ship_traced(trace, Direction::ToHost, "control", wire::CONTROL_FRAME)
-                    .is_ok();
-            if !recovered {
-                self.accel().abort(txn);
-                self.host.rollback(txn)?;
-                return Err(Error::CommitFailed(
-                    "in-doubt transaction could not be resolved before timeout; rolled \
-                     back on all participants"
-                        .into(),
-                ));
-            }
-            self.in_doubt_resolved.fetch_add(1, Ordering::Relaxed);
-            self.metrics.inc("twopc.in_doubt_resolved", 1);
-        }
-        // Phase 2: the decision is durable once the coordinator commits.
-        self.host.commit(txn);
-        if self.accel().is_crashed()
-            || self.ship_traced(trace, Direction::ToAccel, "control", wire::CONTROL_FRAME).is_err()
-        {
-            // The COMMIT decision is queued and redelivered on the next
-            // replication round or recovery probe; the accelerator holds
-            // the transaction prepared (durably — a crash re-materializes
-            // it from the log) until the decision arrives.
-            self.node0().pending_commits.lock().push(txn);
-            self.metrics.inc("twopc.decisions_queued", 1);
-        } else {
-            self.accel().commit(txn);
-        }
-        Ok(())
-    }
-
     /// Roll the session's transaction back on every participant.
     pub fn rollback_session(&self, session: &mut Session) -> Result<()> {
         let Some(txn) = session.txn.take() else { return Ok(()) };
-        let fleet_ids =
-            if self.fleet_active() { self.fleet.take_enlisted(txn) } else { Vec::new() };
-        if !fleet_ids.is_empty() {
-            // Best-effort abort message per enlisted node — each
-            // participant presumes abort for unresolved transactions on
-            // reconnect, so a lost message cannot leave one committed.
-            for i in fleet_ids {
-                let node = &self.nodes[i];
-                let _ = self.ship_on(node, Direction::ToAccel, wire::CONTROL_FRAME);
-                node.engine.abort(txn);
-            }
-        } else if self.host.txns.accelerator_enlisted(txn) {
-            // Best-effort abort message — the participant presumes abort
-            // for unresolved transactions on reconnect, so a lost message
-            // cannot leave it committed.
-            let _ = self.ship(Direction::ToAccel, wire::CONTROL_FRAME);
-            self.accel().abort(txn);
+        // Best-effort abort message per enlisted node — each participant
+        // presumes abort for unresolved transactions on reconnect, so a
+        // lost message cannot leave one committed.
+        for i in self.fleet.take_enlisted(txn) {
+            let node = &self.nodes[i];
+            let _ = self.ship_on(node, Direction::ToAccel, wire::CONTROL_FRAME);
+            node.engine.abort(txn);
         }
         self.host.rollback(txn)?;
         Ok(())
@@ -2408,6 +2199,7 @@ pub(crate) enum ReplyPayload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use idaa_netsim::sites;
 
     fn sys(idaa: &Idaa) -> Session {
         idaa.session(SYSADM)

@@ -681,3 +681,60 @@ fn server_queue_events_and_counters_reconcile_with_the_completion_log() {
     }
     assert_eq!(m.gauge(&format!("server.session.{hi}.priority")), Some(idaa::Priority::High.rank()));
 }
+
+// ---------------------------------------------------------------------------
+// Single-accelerator traffic pin
+// ---------------------------------------------------------------------------
+
+/// The default configuration (one accelerator, one shard) runs every
+/// federation path — CREATE/DROP `IN ACCELERATOR`, AOT INSERT VALUES, the
+/// INSERT…SELECT pushdown, UPDATE, DELETE, an explicit 2PC commit, a
+/// rollback, a replicated-table read, and a lost-vote commit settled by
+/// the in-doubt resolver — and pins the resulting `LinkMetrics`, metrics
+/// registry, and rendered statement traces byte for byte against
+/// `tests/golden/single_accelerator_path.txt`. Any change to what the
+/// single accelerator sends, counts, or traces shows up as a diff here.
+#[test]
+fn single_accelerator_path_is_pinned() {
+    let (idaa, mut s) = seeded_system();
+    stage_setup(&idaa, &mut s, 40);
+    let run = |s: &mut idaa::Session, sql: &str| {
+        idaa.execute(s, sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+    };
+    run(&mut s, "INSERT INTO STAGE VALUES ('EU', 1.0E0), ('US', 2.0E0)");
+    run(&mut s, "INSERT INTO STAGE SELECT region, SUM(amount) FROM sales GROUP BY region");
+    run(&mut s, "UPDATE STAGE SET TOTAL = TOTAL + 1.0E0 WHERE REGION = 'EU'");
+    run(&mut s, "DELETE FROM STAGE WHERE TOTAL < 3.0E0 AND REGION = 'US'");
+    run(&mut s, "BEGIN");
+    run(&mut s, "INSERT INTO STAGE VALUES ('XA', 3.0E0)");
+    run(&mut s, "UPDATE STAGE SET TOTAL = 4.0E0 WHERE REGION = 'XA'");
+    run(&mut s, "COMMIT");
+    run(&mut s, "BEGIN");
+    run(&mut s, "INSERT INTO STAGE VALUES ('RB', 5.0E0)");
+    run(&mut s, "ROLLBACK");
+    run(&mut s, "SELECT region, COUNT(*) FROM sales GROUP BY region ORDER BY region");
+    // Lost vote: PREPARE delivers, every vote attempt fails, and the
+    // resolver's status inquiry settles the transaction as committed.
+    run(&mut s, "BEGIN");
+    run(&mut s, "INSERT INTO STAGE VALUES ('LV', 6.0E0)");
+    idaa.link().fail_transfers_after(1, 4);
+    run(&mut s, "COMMIT");
+    assert_eq!(idaa.in_doubt_resolved(), 1);
+    let r = idaa.query(&mut s, "SELECT region, total FROM stage ORDER BY region").unwrap();
+    assert_eq!(r.len(), 5, "{r:?}");
+    run(&mut s, "CREATE TABLE SCRATCH (X INT) IN ACCELERATOR");
+    run(&mut s, "DROP TABLE SCRATCH");
+
+    let mut actual = format!("{:?}\n", idaa.link().metrics());
+    actual.push_str(&idaa.metrics().render());
+    for t in idaa.tracer().statements() {
+        t.root.validate().unwrap();
+        // Session ids are process-global, so the header carries SQL only.
+        actual.push_str(&format!("-- {}\n{}", t.sql, t.root.render()));
+    }
+    let expected = include_str!("golden/single_accelerator_path.txt");
+    if actual != expected {
+        let line = actual.lines().zip(expected.lines()).position(|(a, e)| a != e);
+        panic!("single-accelerator traffic moved (first differing line {line:?}):\n{actual}");
+    }
+}

@@ -1310,6 +1310,107 @@ proptest! {
     }
 }
 
+/// Re-stamp a buffer's trailing 8-byte checksum, so a mutated frame or
+/// summary reaches the structural decoder instead of being rejected as
+/// link damage.
+fn restamp(buf: &mut [u8]) {
+    let n = buf.len() - 8;
+    let sum = idaa::common::wire::hash64(&buf[..n]);
+    buf[n..].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// One structural mutation of an encoded buffer, checksum re-stamped: flip
+/// a bit, set a 4-byte header count (at one of `counts`) to an extreme,
+/// plant a maximal varint (a huge count or run length), or cut the payload
+/// short.
+fn mutate(buf: &mut Vec<u8>, st: &mut u64, counts: &[usize]) {
+    let body = buf.len() - 8;
+    if body == 0 {
+        return;
+    }
+    let pos = |st: &mut u64| (splitmix(st) as usize) % body;
+    match splitmix(st) % 4 {
+        1 if counts.iter().all(|&off| off + 4 <= body) && !counts.is_empty() => {
+            let extremes = [0u32, 1, 0xFFFF, u32::MAX, splitmix(st) as u32];
+            let v = extremes[(splitmix(st) % 5) as usize];
+            let off = counts[(splitmix(st) as usize) % counts.len()];
+            buf[off..off + 4].copy_from_slice(&v.to_le_bytes());
+        }
+        2 => {
+            let at = pos(st);
+            let varint = [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01];
+            for (k, b) in varint.into_iter().enumerate().take(body - at) {
+                buf[at + k] = b;
+            }
+        }
+        3 => {
+            let cut = pos(st);
+            buf.drain(cut..body);
+        }
+        _ => {
+            let at = pos(st);
+            buf[at] ^= 1 << (splitmix(st) % 8);
+        }
+    }
+    restamp(buf);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The wire decoders are total: a checksum-valid but malformed frame or
+    /// key summary (a sender bug, version skew, an old durable record)
+    /// decodes to `Err` or to a well-formed batch — never a panic, and
+    /// never an allocation sized from a count the bytes cannot back.
+    #[test]
+    fn wire_decoders_reject_malformed_input(
+        types in proptest::collection::vec(arb_data_type(), 1..5),
+        n in 0usize..40,
+        seed in any::<u64>(),
+    ) {
+        use idaa::common::{wire, ColumnDef};
+        let schema = idaa::Schema::new(
+            types
+                .iter()
+                .enumerate()
+                .map(|(i, dt)| ColumnDef::new(format!("C{i}"), *dt))
+                .collect(),
+        )
+        .unwrap();
+        let mut st = seed;
+        let rows: Vec<idaa::Row> = (0..n)
+            .map(|_| types.iter().map(|dt| wire_cell(*dt, splitmix(&mut st))).collect())
+            .collect();
+        let frame = wire::encode_frame(&schema, &rows);
+        let mut summary = wire::KeySummary::with_capacity(n);
+        for r in &rows {
+            summary.insert_i64(splitmix(&mut st) as i64 % 1000);
+            summary.insert_hash(wire::hash64(format!("{:?}", r[0]).as_bytes()));
+        }
+        let summary = wire::encode_summary(&summary);
+        for _ in 0..32 {
+            // Header row and column counts sit at byte offsets 12 and 16.
+            let mut f = frame.clone();
+            for _ in 0..=(splitmix(&mut st) % 3) {
+                mutate(&mut f, &mut st, &[12, 16]);
+            }
+            if let Ok(d) = wire::decode_frame(&f) {
+                let nrows = u32::from_le_bytes(f[12..16].try_into().unwrap()) as usize;
+                let ncols = u32::from_le_bytes(f[16..20].try_into().unwrap()) as usize;
+                prop_assert_eq!(d.rows.len(), nrows);
+                prop_assert!(d.rows.iter().all(|r| r.len() == ncols));
+            }
+            let _ = wire::decode_rows(&f, &schema);
+
+            let mut k = summary.clone();
+            for _ in 0..=(splitmix(&mut st) % 3) {
+                mutate(&mut k, &mut st, &[]);
+            }
+            let _ = wire::decode_summary(&k);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Fleet: scatter/gather over sharded AOTs reproduces the single-accelerator
 // answer for any topology

@@ -308,6 +308,57 @@ fn lost_phase_two_commit_is_queued_and_redelivered() {
     assert_eq!(count(&idaa, &mut other, "a"), 1);
 }
 
+/// A 3-node fleet with 4 shards at replication factor 2, a sharded AOT, and
+/// an open transaction that wrote 32 rows, so every node is enlisted.
+fn open_fleet_txn(auto_replicate: bool) -> (Idaa, idaa::Session) {
+    let idaa = Idaa::new(IdaaConfig {
+        auto_replicate,
+        fleet: idaa::FleetConfig {
+            accelerators: 3,
+            shards: 4,
+            replication_factor: 2,
+            ..idaa::FleetConfig::default()
+        },
+        ..IdaaConfig::default()
+    });
+    let mut s = idaa.session(SYSADM);
+    idaa.execute(&mut s, "CREATE TABLE F (X INT NOT NULL) IN ACCELERATOR DISTRIBUTE BY HASH(X)")
+        .unwrap();
+    idaa.execute(&mut s, "BEGIN").unwrap();
+    let vals: Vec<String> = (0..32).map(|i| format!("({i})")).collect();
+    idaa.execute(&mut s, &format!("INSERT INTO F VALUES {}", vals.join(", "))).unwrap();
+    (idaa, s)
+}
+
+#[test]
+fn fleet_lost_vote_is_settled_by_the_in_doubt_resolver() {
+    // Node 1's YES vote is lost (PREPARE delivers, all 4 vote attempts
+    // fail). The fleet runs the same resolver as the single accelerator:
+    // one status inquiry succeeds and the commit goes through everywhere.
+    let (idaa, mut s) = open_fleet_txn(true);
+    idaa.node_link(1).fail_transfers_after(1, 4);
+    idaa.execute(&mut s, "COMMIT").unwrap();
+    assert_eq!(idaa.in_doubt_resolved(), 1);
+    let mut other = idaa.session(SYSADM);
+    assert_eq!(count(&idaa, &mut other, "f"), 32, "commit visible to other sessions");
+}
+
+#[test]
+fn fleet_queued_phase_two_decision_counts_as_pending() {
+    // PREPARE and vote reach node 1, but every phase-2 COMMIT attempt to
+    // it is lost: the decision is queued on node 1 and reported by
+    // `pending_accel_commits`, which sums over every node.
+    let (idaa, mut s) = open_fleet_txn(false);
+    idaa.node_link(1).fail_transfers_after(2, 4);
+    idaa.execute(&mut s, "COMMIT").unwrap();
+    assert_eq!(idaa.pending_accel_commits(), 1);
+    // Recovery redelivers the queued decision.
+    assert!(idaa.recover_node(1));
+    assert_eq!(idaa.pending_accel_commits(), 0);
+    let mut other = idaa.session(SYSADM);
+    assert_eq!(count(&idaa, &mut other, "f"), 32);
+}
+
 // ---------------------------------------------------------------------------
 // Isolation-anomaly battery against AOTs
 //
