@@ -7,13 +7,14 @@
 //! bulk load, and grooming.
 
 use crate::durable::{Checkpoint, DurableStore, LogRecord, ScrubReport, SliceImage, TableImage};
-use crate::exec::{describe_pipeline, execute_plan, scan_filtered, ExecCtx, ExecMode};
+use crate::exec::{describe_pipeline, scan_all, ExecCtx, ExecMode};
 use crate::mvcc::{CommitSeq, Snapshot, TxnId, TxnRegistry, TxnStatus};
 use crate::table::{AccelTable, RowPos};
 use idaa_common::{wire, Error, ObjectName, Result, Row, Rows, Schema};
 use idaa_netsim::{sites, FaultRegistry};
 use idaa_sql::ast::{Expr, Query};
 use idaa_sql::eval::{bind, eval, FlatResolver};
+use idaa_sql::exec::execute_plan;
 use idaa_sql::plan::{plan_query, Plan, PlanProfile, SchemaProvider};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
@@ -845,8 +846,8 @@ impl AccelEngine {
             self.ensure_not_quarantined(&t)?;
         }
         self.stats.queries.fetch_add(1, Ordering::Relaxed);
-        let ctx = ExecCtx { engine: self, snap: self.snapshot_for(txn), mode, profile: None };
-        execute_plan(&plan, &ctx)
+        let ctx = ExecCtx { engine: self, snap: self.snapshot_for(txn), mode };
+        execute_plan(&plan, &ctx, None)
     }
 
     /// Plan `query` through the compiled-plan cache. The cache is keyed by
@@ -911,13 +912,8 @@ impl AccelEngine {
         self.stats.queries.fetch_add(1, Ordering::Relaxed);
         let profile = PlanProfile::default();
         profile.set_cache_hit(hit);
-        let ctx = ExecCtx {
-            engine: self,
-            snap: self.snapshot_for(txn),
-            mode: ExecMode::Vectorized,
-            profile: Some(&profile),
-        };
-        let rows = execute_plan(&plan, &ctx)?;
+        let ctx = ExecCtx { engine: self, snap: self.snapshot_for(txn), mode: ExecMode::Vectorized };
+        let rows = execute_plan(&plan, &ctx, Some(&profile))?;
         Ok((rows, plan, profile))
     }
 
@@ -1120,13 +1116,9 @@ impl AccelEngine {
         self.ensure_up()?;
         self.ensure_not_quarantined(table)?;
         let t = self.table(table)?;
-        let ctx = ExecCtx {
-            engine: self,
-            snap: self.txns.snapshot(0),
-            mode: ExecMode::Vectorized,
-            profile: None,
-        };
-        scan_filtered(&t, None, &ctx)
+        let ctx =
+            ExecCtx { engine: self, snap: self.txns.snapshot(0), mode: ExecMode::Vectorized };
+        scan_all(&t, &ctx)
     }
 
     /// Groom one table: drop versions from aborted creators and versions

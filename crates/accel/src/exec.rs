@@ -1,4 +1,5 @@
-//! Columnar, slice-parallel execution for the accelerator.
+//! Columnar, slice-parallel data access for the accelerator: its
+//! [`Source`] for the shared reference executor (`idaa_sql::exec`).
 //!
 //! The hot path is the vectorized scan: predicate conjuncts are compiled to
 //! a kernel IR (numeric comparisons, BETWEEN ranges, dictionary-code string
@@ -7,55 +8,31 @@
 //! every kernel compacts in place over the typed column vectors, with no
 //! intermediate row materialization. Whole blocks are skipped via zone
 //! maps, and data slices scan in parallel threads. Rows are materialized
-//! only for positions that survive visibility + kernel + residual
-//! filtering; the remaining operators (join/aggregate/sort/…) run over that
-//! much smaller set, and filter→aggregate chains feed aggregate states
-//! directly from the surviving selection. Any conjunct the compiler cannot
-//! prove exact (see `guarded_lit`) stays with the row-at-a-time
-//! interpreter as a residual — results are always exact, never
-//! approximate.
+//! only for positions that survive visibility + kernel + residual (+ derived
+//! join-filter) filtering; the shared operators (join/aggregate/sort/…) run
+//! over that much smaller set, and filter→aggregate chains — optionally
+//! through an INNER star join — override the reference aggregate by feeding
+//! aggregate states directly from the surviving selection. Any conjunct the
+//! compiler cannot prove exact (see `guarded_lit`) stays with the
+//! row-at-a-time interpreter as a residual — results are always exact,
+//! never approximate.
 
 use crate::column::{Column, NullMap};
 use crate::engine::AccelEngine;
 use crate::mvcc::{RunVisibility, Snapshot};
 use crate::table::{AccelTable, Slice, ZoneEntry, BLOCK_ROWS};
-use idaa_common::wire::{key_hash_i64, key_hash_str, KeySummary};
-use idaa_common::{ColumnDef, Error, Result, Row, Rows, Schema, Value};
+use idaa_common::wire::KeySummary;
+use idaa_common::{Result, Row, Value};
 use idaa_sql::ast::{BinaryOp, Expr, JoinKind};
-use idaa_sql::eval::{bind, eval, eval_predicate, AggState, BoundExpr, FlatResolver};
-use idaa_sql::plan::{AggCall, Plan, PlanCol, PlanProfile};
+use idaa_sql::eval::{bind, eval, eval_predicate, AggState, BoundExpr};
+use idaa_sql::exec::{
+    equi_keys, extract_generic, finish_groups, int_key_type, key_layout, key_of, merge_groups,
+    run_parts, try_extract_keys, Exec, Groups, JoinKey, KeyLayout, ProbeKeys, ScanSpec, Source,
+};
+use idaa_sql::plan::{and_all, resolver_of, split_conjuncts, AggCall, Plan, PlanCol, PlanProfile};
 use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::Ordering;
-
-/// `Limit(Sort(…))` fuses into a bounded top-K selection when the limit is
-/// at most this many rows (beyond that a full parallel sort wins).
-const TOPK_MAX: u64 = 1024;
-
-/// Run `f(0)..f(parts-1)` on scoped worker threads and return the results
-/// in part order. The fixed partition order is what keeps every parallel
-/// operator deterministic for a given configuration. A worker that panics
-/// fails the statement with an internal error (SQLCODE -901) instead of
-/// taking the process down; every worker is joined before this returns.
-fn run_parts<T, F>(parts: usize, f: F) -> Result<Vec<T>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if parts <= 1 {
-        return Ok((0..parts).map(f).collect());
-    }
-    std::thread::scope(|scope| {
-        let fr = &f;
-        let handles: Vec<_> = (0..parts).map(|i| scope.spawn(move || fr(i))).collect();
-        let joined: Vec<std::thread::Result<T>> = handles.into_iter().map(|h| h.join()).collect();
-        joined
-            .into_iter()
-            .map(|r| r.map_err(|_| Error::internal("accelerator worker thread panicked")))
-            .collect()
-    })
-}
 
 /// Run `f` over every slice of a table — one worker per slice when the
 /// engine is parallel, else serially — returning results in slice order.
@@ -77,8 +54,9 @@ where
 /// aggregation. `Vectorized` (the default) compiles predicate conjuncts to
 /// batch kernels that filter block-sized selection vectors directly over
 /// the column vectors; `Interpreted` forces the row-at-a-time expression
-/// interpreter — kept as the exactness oracle and the fallback for any
-/// expression the compiler cannot prove exact.
+/// interpreter with no fused aggregate and no derived join filter — the
+/// shared reference executor as is, kept as the exactness oracle and the
+/// fallback for any expression the compiler cannot prove exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
     #[default]
@@ -86,219 +64,57 @@ pub enum ExecMode {
     Interpreted,
 }
 
-/// Execution context for one statement.
+/// Execution context for one statement: the accelerator's [`Source`] for
+/// the shared reference executor (`idaa_sql::exec`). It overrides only the
+/// data access — vectorized slice scans with zone maps, late
+/// materialization and derived join filters — and the fused aggregate.
 pub struct ExecCtx<'a> {
     pub engine: &'a AccelEngine,
     pub snap: Snapshot,
     pub mode: ExecMode,
-    /// When set, each executed plan node records its output cardinality
-    /// (fused children stay unrecorded — fusion is visible in the profile).
-    pub profile: Option<&'a PlanProfile>,
 }
 
-/// Execute a logical plan on the accelerator.
-pub fn execute_plan(plan: &Plan, ctx: &ExecCtx) -> Result<Rows> {
-    let rows = run(plan, ctx)?;
-    let schema = Schema::new_unchecked(
-        plan.cols()
-            .into_iter()
-            .map(|c| ColumnDef::new(c.name, c.data_type))
-            .collect(),
-    );
-    Ok(Rows::new(schema, rows))
-}
-
-fn resolver_of(cols: &[PlanCol]) -> FlatResolver {
-    FlatResolver::new(cols.iter().map(|c| (c.qualifier.clone(), c.name.clone())).collect())
-}
-
-pub(crate) fn run(plan: &Plan, ctx: &ExecCtx) -> Result<Vec<Row>> {
-    run_masked(plan, ctx, None)
-}
-
-/// Dispatch one node and, when profiling, record its output cardinality on
-/// the way out.
-fn run_masked(plan: &Plan, ctx: &ExecCtx, needed: Option<Vec<bool>>) -> Result<Vec<Row>> {
-    let rows = run_masked_inner(plan, ctx, needed)?;
-    if let Some(prof) = ctx.profile {
-        prof.record(plan, rows.len() as u64);
+impl Source for ExecCtx<'_> {
+    fn scan(
+        &self,
+        spec: &ScanSpec,
+        needed: Option<Vec<bool>>,
+        probe: Option<&ProbeKeys>,
+        profile: Option<&PlanProfile>,
+    ) -> Result<Vec<Row>> {
+        let t = self.engine.table(spec.table)?;
+        // The interpreted oracle pushes no derived join filter.
+        let prefilter = match (self.mode, probe) {
+            (ExecMode::Vectorized, Some(p)) => {
+                p.summary().map(|summary| ProbeFilter { col: p.col, summary })
+            }
+            _ => None,
+        };
+        let pred = spec.predicate.map(|p| (p, spec.cols));
+        let prof = profile.map(|p| (p, spec.node));
+        scan_filtered_with(&t, pred, self, needed, prof, prefilter.as_ref())
     }
-    Ok(rows)
-}
 
-/// Union the column ordinals of `exprs` into a mask over `width` columns.
-fn mask_of(width: usize, bound: &[&BoundExpr]) -> Vec<bool> {
-    let mut set = std::collections::HashSet::new();
-    for b in bound {
-        b.collect_columns(&mut set);
+    fn run_node(&self, node: &Plan, exec: &Exec) -> Result<Option<Vec<Row>>> {
+        match node {
+            Plan::Aggregate { input, group_exprs, aggs, .. }
+                if self.mode == ExecMode::Vectorized =>
+            {
+                try_fused_aggregate(node, input, group_exprs, aggs, self, exec)
+            }
+            _ => Ok(None),
+        }
     }
-    (0..width).map(|i| set.contains(&i)).collect()
-}
 
-fn union_mask(a: Option<Vec<bool>>, b: Vec<bool>) -> Vec<bool> {
-    match a {
-        None => b,
-        Some(a) => a.iter().zip(&b).map(|(x, y)| *x || *y).collect(),
+    fn workers(&self) -> usize {
+        self.engine.config.workers()
     }
 }
 
-/// Execute with *projection pushdown*: `needed[i] == false` means the
-/// caller never reads output column `i`, so scans may leave it NULL and
-/// skip decoding the column vector — the columnar engine's signature
-/// advantage.
-fn run_masked_inner(plan: &Plan, ctx: &ExecCtx, needed: Option<Vec<bool>>) -> Result<Vec<Row>> {
-    match plan {
-        Plan::Scan { table, cols, .. } => {
-            if cols.is_empty() && table.name == "SYSDUMMY1" {
-                return Ok(vec![vec![]]);
-            }
-            let t = ctx.engine.table(table)?;
-            scan_filtered_with(&t, None, ctx, needed, Some(plan), None)
-        }
-        Plan::Filter { input, predicate } => {
-            if let Plan::Scan { table, .. } = input.as_ref() {
-                let t = ctx.engine.table(table)?;
-                let cols = input.cols();
-                return scan_filtered_with(
-                    &t,
-                    Some((predicate, &cols)),
-                    ctx,
-                    needed,
-                    Some(plan),
-                    None,
-                );
-            }
-            let cols = input.cols();
-            let bound = bind(predicate, &resolver_of(&cols))?;
-            let child_mask = needed.map(|m| union_mask(Some(m), mask_of(cols.len(), &[&bound])));
-            let rows = run_masked(input, ctx, child_mask)?;
-            rows.into_iter()
-                .filter_map(|row| match eval_predicate(&bound, &row) {
-                    Ok(true) => Some(Ok(row)),
-                    Ok(false) => None,
-                    Err(e) => Some(Err(e)),
-                })
-                .collect()
-        }
-        Plan::Project { input, exprs, .. } => {
-            let in_cols = input.cols();
-            let resolver = resolver_of(&in_cols);
-            let bound: Vec<BoundExpr> =
-                exprs.iter().map(|(e, _)| bind(e, &resolver)).collect::<Result<_>>()?;
-            let refs: Vec<&BoundExpr> = bound.iter().collect();
-            let child_mask = mask_of(in_cols.len(), &refs);
-            let rows = run_masked(input, ctx, Some(child_mask))?;
-            rows.into_iter()
-                .map(|row| bound.iter().map(|b| eval(b, &row)).collect())
-                .collect()
-        }
-        Plan::Join { left, right, kind, on } => {
-            run_join(plan, left, right, *kind, on, ctx, needed)
-        }
-        Plan::Aggregate { input, group_exprs, aggs, .. } => {
-            if let Some(rows) = try_fused_aggregate(plan, input, group_exprs, aggs, ctx)? {
-                return Ok(rows);
-            }
-            run_aggregate(input, group_exprs, aggs, ctx)
-        }
-        Plan::Sort { input, keys } => {
-            let in_width = input.cols().len();
-            let child_mask = needed.map(|mut m| {
-                m.resize(in_width, false);
-                for (i, _) in keys {
-                    if *i < in_width {
-                        m[*i] = true;
-                    }
-                }
-                m
-            });
-            let rows = run_masked(input, ctx, child_mask)?;
-            Ok(sort_rows(rows, keys, ctx.engine.config.workers()))
-        }
-        Plan::Distinct { input } => {
-            // Row-level dedup reads every column: no pushdown through here.
-            let rows = run_masked(input, ctx, None)?;
-            let mut seen: HashMap<Vec<Value>, ()> = HashMap::with_capacity(rows.len());
-            let mut out = Vec::new();
-            for row in rows {
-                if seen.insert(row.clone(), ()).is_none() {
-                    out.push(row);
-                }
-            }
-            Ok(out)
-        }
-        Plan::Limit { input, n } => {
-            // `Limit(Sort(…))` fuses into a bounded top-K selection: keep the
-            // `n` best rows by (sort key, input position) in one pass instead
-            // of sorting everything. The position tiebreak makes the result
-            // identical to a stable sort followed by truncation.
-            if let Plan::Sort { input: sorted, keys } = input.as_ref() {
-                if *n <= TOPK_MAX {
-                    let in_width = sorted.cols().len();
-                    let child_mask = needed.clone().map(|mut m| {
-                        m.resize(in_width, false);
-                        for (i, _) in keys {
-                            if *i < in_width {
-                                m[*i] = true;
-                            }
-                        }
-                        m
-                    });
-                    let rows = run_masked(sorted, ctx, child_mask)?;
-                    return Ok(top_k(rows, *n as usize, sort_cmp(keys)));
-                }
-            }
-            let mut rows = run_masked(input, ctx, needed)?;
-            rows.truncate(*n as usize);
-            Ok(rows)
-        }
-        Plan::KeepCols { input, n } => {
-            let in_width = input.cols().len();
-            let child_mask = needed.map(|mut m| {
-                m.resize(in_width, false);
-                m
-            });
-            let mut rows = run_masked(input, ctx, child_mask)?;
-            for row in &mut rows {
-                row.truncate(*n);
-            }
-            Ok(rows)
-        }
-        Plan::Union { left, right, all } => {
-            // Plain UNION dedups on full rows, so branches must materialize
-            // every column; UNION ALL can push the caller's mask through.
-            let child_mask = if *all { needed } else { None };
-            let mut rows = run_masked(left, ctx, child_mask.clone())?;
-            rows.extend(run_masked(right, ctx, child_mask)?);
-            if !*all {
-                let mut seen: HashMap<Vec<Value>, ()> = HashMap::with_capacity(rows.len());
-                rows.retain(|r| seen.insert(r.clone(), ()).is_none());
-            }
-            Ok(rows)
-        }
-    }
-}
 
-/// Scan with an optional predicate, materializing every column.
-pub(crate) fn scan_filtered(
-    table: &AccelTable,
-    predicate: Option<&Expr>,
-    ctx: &ExecCtx,
-) -> Result<Vec<Row>> {
-    let cols: Vec<PlanCol> = table
-        .schema
-        .columns()
-        .iter()
-        .map(|c| PlanCol {
-            qualifier: Some(table.name.name.clone()),
-            name: c.name.clone(),
-            data_type: c.data_type,
-        })
-        .collect();
-    match predicate {
-        Some(p) => scan_filtered_with(table, Some((p, cols.as_slice())), ctx, None, None, None),
-        None => scan_filtered_with(table, None, ctx, None, None, None),
-    }
+/// Every visible row of `table`, with every column materialized.
+pub(crate) fn scan_all(table: &AccelTable, ctx: &ExecCtx) -> Result<Vec<Row>> {
+    scan_filtered_with(table, None, ctx, None, None, None)
 }
 
 /// The kernel IR: one compiled single-column predicate. A conjunction
@@ -744,7 +560,7 @@ fn scan_filtered_with(
     pred: Option<(&Expr, &[PlanCol])>,
     ctx: &ExecCtx,
     needed: Option<Vec<bool>>,
-    prof_node: Option<&Plan>,
+    prof: Option<(&PlanProfile, &Plan)>,
     prefilter: Option<&ProbeFilter>,
 ) -> Result<Vec<Row>> {
     // Compile conjuncts into kernels plus a residual predicate. Forced
@@ -753,7 +569,7 @@ fn scan_filtered_with(
     let mut residual: Option<BoundExpr> = None;
     if let Some((predicate, scan_cols)) = pred {
         let mut leftover: Vec<&Expr> = Vec::new();
-        for conj in idaa_host_conjuncts(predicate) {
+        for conj in split_conjuncts(predicate) {
             let compiled = match ctx.mode {
                 ExecMode::Vectorized => compile_kernel(conj, table, scan_cols),
                 ExecMode::Interpreted => None,
@@ -765,15 +581,7 @@ fn scan_filtered_with(
         }
         if !leftover.is_empty() {
             let resolver = resolver_of(scan_cols);
-            let combined = leftover
-                .into_iter()
-                .cloned()
-                .reduce(|a, b| Expr::Binary {
-                    left: Box::new(a),
-                    op: BinaryOp::And,
-                    right: Box::new(b),
-                })
-                .expect("non-empty");
+            let combined = and_all(leftover.into_iter().cloned().collect()).expect("non-empty");
             residual = Some(bind(&combined, &resolver)?);
         }
     }
@@ -849,7 +657,7 @@ fn scan_filtered_with(
     // A scan counts as vectorized only when at least one kernel compiled
     // (or a derived join-filter ran as one) — with zero kernels every row
     // goes through the interpreted residual.
-    if let (Some(prof), Some(node)) = (ctx.profile, prof_node) {
+    if let Some((prof, node)) = prof {
         if !kernels.is_empty() || prefilter.is_some() {
             prof.record_vectorized(node, batches);
         }
@@ -877,256 +685,6 @@ fn materialize_block(slice: &Slice, sel: &[u32], mask: Option<&[bool]>, out: &mu
             }
         }
     }
-}
-
-/// Conjunct splitting (same shape as the host's — duplicated on purpose:
-/// the engines are independent systems in the architecture).
-fn idaa_host_conjuncts(e: &Expr) -> Vec<&Expr> {
-    match e {
-        Expr::Binary { left, op: BinaryOp::And, right } => {
-            let mut out = idaa_host_conjuncts(left);
-            out.extend(idaa_host_conjuncts(right));
-            out
-        }
-        other => vec![other],
-    }
-}
-
-/// Comparator over `Plan::Sort` keys (shared by sort and top-K).
-fn sort_cmp(keys: &[(usize, bool)]) -> impl Fn(&Row, &Row) -> std::cmp::Ordering + Sync + '_ {
-    move |a, b| {
-        for (i, desc) in keys {
-            let o = a[*i].cmp_total(&b[*i]);
-            let o = if *desc { o.reverse() } else { o };
-            if o != std::cmp::Ordering::Equal {
-                return o;
-            }
-        }
-        std::cmp::Ordering::Equal
-    }
-}
-
-/// Stable sort, parallelized as chunk-sorts plus a k-way merge that breaks
-/// ties toward the earliest chunk — output is identical to a serial stable
-/// sort regardless of worker count.
-fn sort_rows(mut rows: Vec<Row>, keys: &[(usize, bool)], workers: usize) -> Vec<Row> {
-    let cmp = sort_cmp(keys);
-    if workers <= 1 || rows.len() <= 1 {
-        rows.sort_by(&cmp);
-        return rows;
-    }
-    let chunk = rows.len().div_ceil(workers).max(1);
-    std::thread::scope(|scope| {
-        for part in rows.chunks_mut(chunk) {
-            let c = &cmp;
-            scope.spawn(move || part.sort_by(c));
-        }
-    });
-    let mut bounds: Vec<(usize, usize)> = Vec::new();
-    let mut start = 0;
-    while start < rows.len() {
-        let end = (start + chunk).min(rows.len());
-        bounds.push((start, end));
-        start = end;
-    }
-    let mut cursors: Vec<usize> = bounds.iter().map(|(s, _)| *s).collect();
-    let mut out = Vec::with_capacity(rows.len());
-    loop {
-        let mut best: Option<usize> = None;
-        for ci in 0..bounds.len() {
-            if cursors[ci] >= bounds[ci].1 {
-                continue;
-            }
-            best = match best {
-                None => Some(ci),
-                Some(b)
-                    if cmp(&rows[cursors[ci]], &rows[cursors[b]])
-                        == std::cmp::Ordering::Less =>
-                {
-                    Some(ci)
-                }
-                keep => keep,
-            };
-        }
-        match best {
-            None => break,
-            Some(b) => {
-                out.push(std::mem::take(&mut rows[cursors[b]]));
-                cursors[b] += 1;
-            }
-        }
-    }
-    out
-}
-
-/// Bounded top-K selection: the `k` smallest rows under `(cmp, input
-/// position)`, in that order — exactly a stable sort followed by
-/// `truncate(k)`, without sorting the rest.
-fn top_k<F: Fn(&Row, &Row) -> std::cmp::Ordering>(rows: Vec<Row>, k: usize, cmp: F) -> Vec<Row> {
-    if k == 0 {
-        return Vec::new();
-    }
-    // Sorted buffer of the current best k, worst last. Entries carry their
-    // input position so ties keep first-seen order (stable-sort semantics).
-    let mut buf: Vec<(usize, Row)> = Vec::with_capacity(k + 1);
-    for (seq, row) in rows.into_iter().enumerate() {
-        if buf.len() == k {
-            let (_, worst) = buf.last().expect("k > 0");
-            // Existing entries always have earlier positions, so an Equal
-            // comparison means the newcomer loses the tiebreak too.
-            if cmp(&row, worst) != std::cmp::Ordering::Less {
-                continue;
-            }
-        }
-        let pos = buf.partition_point(|(_, b)| cmp(b, &row) != std::cmp::Ordering::Greater);
-        buf.insert(pos, (seq, row));
-        buf.truncate(k);
-    }
-    buf.into_iter().map(|(_, r)| r).collect()
-}
-
-/// How a join's equi-key tuple is represented during build and probe.
-/// The layout is decided *statically* from the declared column types of the
-/// key expressions — integer↔integer keys compare exactly as raw `i64` and
-/// character↔character keys as trimmed strings, matching [`Value`] equality
-/// for those type pairs — and *verified* during extraction: any value
-/// outside the layout's class falls the whole join back to the generic
-/// `Vec<Value>` representation. Exact-or-fallback, like every kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum KeyLayout {
-    I64,
-    Str,
-    Generic,
-}
-
-impl KeyLayout {
-    /// The layout as `EXPLAIN`'s PIPELINE line names it.
-    fn describe(self) -> &'static str {
-        match self {
-            KeyLayout::I64 => "typed i64 keys",
-            KeyLayout::Str => "typed string keys",
-            KeyLayout::Generic => "generic keys",
-        }
-    }
-}
-
-/// One row's join key under a [`KeyLayout`]. Both sides of a join always
-/// share a layout, so equality never compares across variants.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum JoinKey {
-    I64(i64),
-    /// Trailing blanks already trimmed (DB2 padded CHAR comparison).
-    Str(String),
-    Row(Vec<Value>),
-}
-
-impl JoinKey {
-    /// Hash in the layout's shared domain: typed keys use the wire-level
-    /// key hashes (the same domain fleet gather summaries are built in),
-    /// generic keys keep the `Vec<Value>` hasher.
-    fn key_hash(&self) -> u64 {
-        match self {
-            JoinKey::I64(v) => key_hash_i64(*v),
-            JoinKey::Str(s) => key_hash_str(s),
-            JoinKey::Row(key) => {
-                let mut hasher = std::collections::hash_map::DefaultHasher::new();
-                key.hash(&mut hasher);
-                hasher.finish()
-            }
-        }
-    }
-}
-
-/// One side's keys, extracted once: `None` marks a NULL key (SQL join keys
-/// never match on NULL), else the key plus its 64-bit hash.
-type Keyed = Vec<Option<(u64, JoinKey)>>;
-
-/// Declared types whose values compare exactly as raw `i64` among
-/// themselves under [`Value`] integer-family equality.
-fn int_key_type(t: idaa_common::DataType) -> bool {
-    matches!(
-        t,
-        idaa_common::DataType::SmallInt
-            | idaa_common::DataType::Integer
-            | idaa_common::DataType::BigInt
-    )
-}
-
-/// Pick the key layout a join's equi-keys admit. Only single-key joins on
-/// bare columns qualify for a typed layout: mixed-type pairs (e.g. INT vs
-/// DOUBLE) must keep full [`Value`] equality semantics, and multi-key
-/// tuples keep the generic path.
-fn key_layout(
-    lkeys: &[BoundExpr],
-    lcols: &[PlanCol],
-    rkeys: &[BoundExpr],
-    rcols: &[PlanCol],
-) -> KeyLayout {
-    if lkeys.len() != 1 {
-        return KeyLayout::Generic;
-    }
-    let (Some(li), Some(ri)) = (lkeys[0].as_column(), rkeys[0].as_column()) else {
-        return KeyLayout::Generic;
-    };
-    let lt = lcols[li].data_type;
-    let rt = rcols[ri].data_type;
-    if int_key_type(lt) && int_key_type(rt) {
-        KeyLayout::I64
-    } else if lt.is_character() && rt.is_character() {
-        KeyLayout::Str
-    } else {
-        KeyLayout::Generic
-    }
-}
-
-/// Evaluate one side's keys once, into the shared layout. Returns
-/// `Ok(None)` when a value falls outside the layout's class (the declared
-/// type lied — e.g. an expression rewrote the column) — the caller then
-/// re-extracts *both* sides generically.
-fn try_extract_keys(keys: &[BoundExpr], rows: &[Row], layout: KeyLayout) -> Result<Option<Keyed>> {
-    if layout == KeyLayout::Generic {
-        return extract_generic(keys, rows).map(Some);
-    }
-    let key_expr = &keys[0];
-    let mut out: Keyed = Vec::with_capacity(rows.len());
-    for row in rows {
-        let Some(k) = key_of(layout, eval(key_expr, row)?) else { return Ok(None) };
-        out.push(k.map(|k| (k.key_hash(), k)));
-    }
-    Ok(Some(out))
-}
-
-/// One single-column key value under `layout`: `Some(None)` for NULL (SQL
-/// join keys never match on NULL), `None` when the value falls outside the
-/// layout's class.
-fn key_of(layout: KeyLayout, v: Value) -> Option<Option<JoinKey>> {
-    Some(match (layout, v) {
-        (_, Value::Null) => None,
-        (KeyLayout::I64, Value::SmallInt(x)) => Some(JoinKey::I64(x as i64)),
-        (KeyLayout::I64, Value::Int(x)) => Some(JoinKey::I64(x as i64)),
-        (KeyLayout::I64, Value::BigInt(x)) => Some(JoinKey::I64(x)),
-        (KeyLayout::Str, Value::Varchar(mut s)) => {
-            s.truncate(s.trim_end_matches(' ').len());
-            Some(JoinKey::Str(s))
-        }
-        (KeyLayout::Generic, v) => Some(JoinKey::Row(vec![v])),
-        _ => return None,
-    })
-}
-
-/// Generic key extraction: the full `Vec<Value>` tuple per row, evaluated
-/// once per side (never re-hashed per probe).
-fn extract_generic(keys: &[BoundExpr], rows: &[Row]) -> Result<Keyed> {
-    rows.iter()
-        .map(|row| {
-            let key: Vec<Value> = keys.iter().map(|k| eval(k, row)).collect::<Result<_>>()?;
-            if key.iter().any(Value::is_null) {
-                return Ok(None);
-            }
-            let k = JoinKey::Row(key);
-            Ok(Some((k.key_hash(), k)))
-        })
-        .collect()
 }
 
 /// A derived join-filter pushed into the probe-side scan: the build side's
@@ -1185,328 +743,6 @@ impl SpecProbe<'_> {
     }
 }
 
-/// Is this plan a bare (possibly filtered) scan the derived join-filter can
-/// push into?
-fn probe_is_scan(plan: &Plan) -> bool {
-    match plan {
-        Plan::Scan { .. } => true,
-        Plan::Filter { input, .. } => matches!(input.as_ref(), Plan::Scan { .. }),
-        _ => false,
-    }
-}
-
-/// Split an ON predicate into equi-key pairs bindable against the two
-/// sides. Returns the key expression lists plus the total conjunct count
-/// (equal lengths mean key equality covers the whole predicate).
-fn equi_keys(
-    on: &Expr,
-    lres: &FlatResolver,
-    rres: &FlatResolver,
-) -> (Vec<BoundExpr>, Vec<BoundExpr>, usize) {
-    let conjs = idaa_host_conjuncts(on);
-    let total = conjs.len();
-    let mut lkeys: Vec<BoundExpr> = Vec::new();
-    let mut rkeys: Vec<BoundExpr> = Vec::new();
-    for conj in conjs {
-        if let Expr::Binary { left: a, op: BinaryOp::Eq, right: b } = conj {
-            if let (Ok(la), Ok(rb)) = (bind(a, lres), bind(b, rres)) {
-                lkeys.push(la);
-                rkeys.push(rb);
-                continue;
-            }
-            if let (Ok(lb), Ok(ra)) = (bind(b, lres), bind(a, rres)) {
-                lkeys.push(lb);
-                rkeys.push(ra);
-            }
-        }
-    }
-    (lkeys, rkeys, total)
-}
-
-/// Digest the build side's keys for probe-side pushdown. Only INNER joins
-/// with a typed layout over a plain (possibly filtered) probe-side scan
-/// qualify: LEFT joins must see every probe row to null-extend, and the
-/// interpreted oracle pushes nothing.
-fn derive_probe_filter(
-    left: &Plan,
-    lkeys: &[BoundExpr],
-    layout: KeyLayout,
-    kind: JoinKind,
-    mode: ExecMode,
-    rkeyed: &Keyed,
-) -> Option<ProbeFilter> {
-    if kind != JoinKind::Inner
-        || mode != ExecMode::Vectorized
-        || layout == KeyLayout::Generic
-        || !probe_is_scan(left)
-    {
-        return None;
-    }
-    let col = lkeys[0].as_column()?;
-    let mut summary = KeySummary::with_capacity(rkeyed.len());
-    for (_, key) in rkeyed.iter().flatten() {
-        match key {
-            JoinKey::I64(v) => summary.insert_i64(*v),
-            JoinKey::Str(s) => summary.insert_str(s),
-            JoinKey::Row(_) => return None,
-        }
-    }
-    Some(ProbeFilter { col, summary })
-}
-
-/// Execute the probe side of a join with a derived join-filter pushed into
-/// its scan (shapes pre-checked by [`derive_probe_filter`]; anything else
-/// falls back to the plain path).
-fn run_probe_scan(
-    left: &Plan,
-    ctx: &ExecCtx,
-    pf: &ProbeFilter,
-    needed: Option<Vec<bool>>,
-) -> Result<Vec<Row>> {
-    let rows = match left {
-        Plan::Scan { table, .. } => {
-            let t = ctx.engine.table(table)?;
-            scan_filtered_with(&t, None, ctx, needed, Some(left), Some(pf))?
-        }
-        Plan::Filter { input, predicate }
-            if matches!(input.as_ref(), Plan::Scan { .. }) =>
-        {
-            let Plan::Scan { table, .. } = input.as_ref() else { unreachable!() };
-            let t = ctx.engine.table(table)?;
-            let cols = input.cols();
-            scan_filtered_with(&t, Some((predicate, &cols)), ctx, needed, Some(left), Some(pf))?
-        }
-        _ => return run_masked(left, ctx, needed),
-    };
-    if let Some(prof) = ctx.profile {
-        prof.record(left, rows.len() as u64);
-    }
-    Ok(rows)
-}
-
-fn run_join(
-    plan: &Plan,
-    left: &Plan,
-    right: &Plan,
-    kind: JoinKind,
-    on: &Expr,
-    ctx: &ExecCtx,
-    needed: Option<Vec<bool>>,
-) -> Result<Vec<Row>> {
-    let lcols = left.cols();
-    let rcols = right.cols();
-    let lres = resolver_of(&lcols);
-    let rres = resolver_of(&rcols);
-    let combined = lres.concat(&rres);
-    let bound_on = bind(on, &combined)?;
-
-    let (lkeys, rkeys, total_conjs) = equi_keys(on, &lres, &rres);
-    // When every ON conjunct became an equi-key pair, key equality *is* the
-    // whole predicate — matched candidates skip the per-row ON re-check.
-    let on_covered = lkeys.len() == total_conjs;
-
-    let lwidth = lcols.len();
-    let rwidth = rcols.len();
-    let workers = ctx.engine.config.workers();
-
-    // Projection pushdown through the join: each side materializes the
-    // columns the caller reads of it, its equi-key columns, and — unless
-    // key equality covers the whole ON predicate — the ON columns.
-    let (lmask, rmask) = match &needed {
-        None => (None, None),
-        Some(m) => {
-            let mut on_cols = HashSet::new();
-            if !on_covered {
-                bound_on.collect_columns(&mut on_cols);
-            }
-            let side = |off: usize, width: usize, keys: &[BoundExpr]| -> Vec<bool> {
-                let mut key_cols = HashSet::new();
-                for k in keys {
-                    k.collect_columns(&mut key_cols);
-                }
-                (0..width)
-                    .map(|i| {
-                        m.get(off + i).copied().unwrap_or(false)
-                            || on_cols.contains(&(off + i))
-                            || key_cols.contains(&i)
-                    })
-                    .collect()
-            };
-            (Some(side(0, lwidth, &lkeys)), Some(side(lwidth, rwidth, &rkeys)))
-        }
-    };
-
-    // Build side (right) first: its finished key digest can pre-filter the
-    // probe-side scan before any probe row materializes.
-    let rrows = run_masked(right, ctx, rmask)?;
-
-    if lkeys.is_empty() {
-        let lrows = run_masked(left, ctx, lmask)?;
-        return nested_loop_join(&lrows, &rrows, kind, &bound_on, rwidth, workers);
-    }
-
-    let mut layout = key_layout(&lkeys, &lcols, &rkeys, &rcols);
-    let mut rkeyed = match try_extract_keys(&rkeys, &rrows, layout)? {
-        Some(k) => k,
-        None => {
-            layout = KeyLayout::Generic;
-            extract_generic(&rkeys, &rrows)?
-        }
-    };
-
-    let prefilter = derive_probe_filter(left, &lkeys, layout, kind, ctx.mode, &rkeyed);
-    let lrows = match &prefilter {
-        Some(pf) => run_probe_scan(left, ctx, pf, lmask)?,
-        None => run_masked(left, ctx, lmask)?,
-    };
-
-    let lkeyed = match try_extract_keys(&lkeys, &lrows, layout)? {
-        Some(k) => k,
-        None => {
-            // A probe value fell outside the layout class. This can only
-            // happen when no filter was pushed (a typed layout over a bare
-            // scan column always yields in-class values), so re-extracting
-            // both sides generically is safe and exact.
-            rkeyed = extract_generic(&rkeys, &rrows)?;
-            extract_generic(&lkeys, &lrows)?
-        }
-    };
-
-    let residual_on = if on_covered { None } else { Some(&bound_on) };
-    let (out, bloom_skipped) =
-        hash_join(&lrows, &rrows, kind, &lkeyed, &rkeyed, residual_on, rwidth, workers)?;
-    if let Some(prof) = ctx.profile {
-        prof.record_bloom(plan, bloom_skipped);
-    }
-    Ok(out)
-}
-
-/// Partitioned parallel hash join over pre-extracted keys: both sides are
-/// split by key hash across the worker pool, each partition builds a hash
-/// table *and a Bloom filter* over its build keys and probes independently,
-/// and partition outputs concatenate in partition order (deterministic for
-/// a given configuration). The Bloom filter is consulted before any hash
-/// table lookup; it only ever false-positives, so skipped probes are
-/// exactly the hash-table misses (the second returned value counts them).
-/// LEFT-join padding stays correct because a probe row's key maps it to
-/// exactly one partition — a Bloom skip leaves `matched` false and the row
-/// null-extends in place; probe rows with NULL keys ride along in
-/// partition 0 and can only null-extend.
-#[allow(clippy::too_many_arguments)]
-fn hash_join(
-    lrows: &[Row],
-    rrows: &[Row],
-    kind: JoinKind,
-    lkeyed: &Keyed,
-    rkeyed: &Keyed,
-    residual_on: Option<&BoundExpr>,
-    rwidth: usize,
-    workers: usize,
-) -> Result<(Vec<Row>, u64)> {
-    let parts = workers.clamp(1, lrows.len().max(1));
-    let mut build_parts: Vec<Vec<usize>> = vec![Vec::new(); parts];
-    for (i, k) in rkeyed.iter().enumerate() {
-        if let Some((h, _)) = k {
-            build_parts[(h % parts as u64) as usize].push(i);
-        }
-    }
-    let mut probe_parts: Vec<Vec<usize>> = vec![Vec::new(); parts];
-    for (i, k) in lkeyed.iter().enumerate() {
-        let h = k.as_ref().map(|(h, _)| *h).unwrap_or(0);
-        probe_parts[(h % parts as u64) as usize].push(i);
-    }
-
-    let results = run_parts(parts, |p| -> Result<(Vec<Row>, u64)> {
-        let mut table: HashMap<u64, Vec<usize>> =
-            HashMap::with_capacity(build_parts[p].len());
-        let mut bloom = KeySummary::with_capacity(build_parts[p].len());
-        for &ri in &build_parts[p] {
-            let (h, _) = rkeyed[ri].as_ref().expect("build partitions hold keyed rows");
-            bloom.insert_hash(*h);
-            table.entry(*h).or_default().push(ri);
-        }
-        let mut out = Vec::new();
-        let mut skipped = 0u64;
-        for &li in &probe_parts[p] {
-            let mut matched = false;
-            if let Some((h, key)) = &lkeyed[li] {
-                if !bloom.might_contain(*h) {
-                    skipped += 1;
-                } else if let Some(cands) = table.get(h) {
-                    for &ri in cands {
-                        let (_, rkey) = rkeyed[ri].as_ref().expect("keyed");
-                        if rkey != key {
-                            continue; // same hash bucket, different key
-                        }
-                        let mut j = lrows[li].clone();
-                        j.extend(rrows[ri].iter().cloned());
-                        if let Some(b) = residual_on {
-                            if !eval_predicate(b, &j)? {
-                                continue;
-                            }
-                        }
-                        matched = true;
-                        out.push(j);
-                    }
-                }
-            }
-            if !matched && kind == JoinKind::Left {
-                let mut j = lrows[li].clone();
-                j.extend(std::iter::repeat_n(Value::Null, rwidth));
-                out.push(j);
-            }
-        }
-        Ok((out, skipped))
-    })?;
-    let mut out = Vec::new();
-    let mut skipped = 0u64;
-    for r in results {
-        let (rows, s) = r?;
-        out.extend(rows);
-        skipped += s;
-    }
-    Ok((out, skipped))
-}
-
-/// Nested-loop join for non-equi conditions, parallelized over contiguous
-/// probe chunks — chunk order concatenation reproduces the serial output
-/// exactly.
-fn nested_loop_join(
-    lrows: &[Row],
-    rrows: &[Row],
-    kind: JoinKind,
-    bound_on: &BoundExpr,
-    rwidth: usize,
-    workers: usize,
-) -> Result<Vec<Row>> {
-    let chunk = lrows.len().div_ceil(workers.max(1)).max(1);
-    let chunks: Vec<&[Row]> = lrows.chunks(chunk).collect();
-    let results = run_parts(chunks.len(), |ci| -> Result<Vec<Row>> {
-        let mut out = Vec::new();
-        for lrow in chunks[ci] {
-            let mut matched = false;
-            for rrow in rrows {
-                let mut j = lrow.clone();
-                j.extend(rrow.iter().cloned());
-                if eval_predicate(bound_on, &j)? {
-                    matched = true;
-                    out.push(j);
-                }
-            }
-            if !matched && kind == JoinKind::Left {
-                let mut j = lrow.clone();
-                j.extend(std::iter::repeat_n(Value::Null, rwidth));
-                out.push(j);
-            }
-        }
-        Ok(out)
-    })?;
-    let mut out = Vec::new();
-    for r in results {
-        out.extend(r?);
-    }
-    Ok(out)
-}
 
 /// Where a fused group key or aggregate argument reads from: a column of
 /// the probe-side scan, or a column of the materialized build rows.
@@ -1691,7 +927,7 @@ fn compile_fused<'p>(
     // The whole predicate must compile to kernels.
     let mut kernels: Vec<Kernel> = Vec::new();
     if let Some(pred) = predicate {
-        for conj in idaa_host_conjuncts(pred) {
+        for conj in split_conjuncts(pred) {
             match compile_kernel(conj, &table, scan_cols) {
                 Some(k) => kernels.push(k),
                 None => return Ok(None),
@@ -1946,10 +1182,8 @@ fn try_fused_aggregate(
     group_exprs: &[Expr],
     aggs: &[AggCall],
     ctx: &ExecCtx,
+    exec: &Exec,
 ) -> Result<Option<Vec<Row>>> {
-    if ctx.mode == ExecMode::Interpreted {
-        return Ok(None);
-    }
     let Some(fused) = compile_fused(input, group_exprs, aggs, ctx.engine)? else {
         return Ok(None);
     };
@@ -1958,7 +1192,7 @@ fn try_fused_aggregate(
     // and the key need; the fused join and probe scan stay unrecorded.
     let build = match join {
         Some(j) => {
-            let rows = run_masked(j.build, ctx, Some(j.build_mask.clone()))?;
+            let rows = exec.run(j.build, Some(j.build_mask.clone()))?;
             Some((BuildIndex::new(rows, j)?, j.probe_col))
         }
         None => None,
@@ -2003,7 +1237,7 @@ fn try_fused_aggregate(
         groups_parts.push(g);
         batches += b;
     }
-    if let Some(prof) = ctx.profile {
+    if let Some(prof) = exec.profile {
         prof.record_vectorized(agg_node, batches);
     }
     let groups = merge_groups(groups_parts)?;
@@ -2039,8 +1273,9 @@ fn find_join(plan: &Plan) -> Option<String> {
         }
         let layout = key_layout(&lkeys, &lcols, &rkeys, &rcols);
         let keys = layout.describe();
-        let pushdown =
-            layout != KeyLayout::Generic && *kind == JoinKind::Inner && probe_is_scan(left);
+        let pushdown = layout != KeyLayout::Generic
+            && *kind == JoinKind::Inner
+            && ScanSpec::of(left).is_some();
         return Some(match (layout, pushdown) {
             (KeyLayout::Generic, _) => {
                 format!("interpreted (hash join: {keys}, bloom-guarded probe)")
@@ -2079,7 +1314,7 @@ fn describe_scan(plan: &Plan, engine: &AccelEngine) -> Option<String> {
             if let Plan::Scan { table, .. } = input.as_ref() {
                 let t = engine.table(table).ok()?;
                 let cols = input.cols();
-                let conjs = idaa_host_conjuncts(predicate);
+                let conjs = split_conjuncts(predicate);
                 let total = conjs.len();
                 let compiled =
                     conjs.iter().filter(|c| compile_kernel(c, &t, &cols).is_some()).count();
@@ -2100,126 +1335,12 @@ fn describe_scan(plan: &Plan, engine: &AccelEngine) -> Option<String> {
     }
 }
 
-/// Grouped partial-aggregation state: insertion-ordered groups plus a key
-/// index. Insertion order is what makes chunked aggregation deterministic —
-/// merging chunk results in chunk order reproduces the serial
-/// first-encounter group order exactly.
-type Groups = Vec<(Vec<Value>, Vec<AggState>)>;
-
-/// Aggregate one run of rows into insertion-ordered groups.
-fn aggregate_rows(
-    rows: &[Row],
-    bound_keys: &[BoundExpr],
-    bound_args: &[Option<BoundExpr>],
-    aggs: &[idaa_sql::plan::AggCall],
-) -> Result<Groups> {
-    let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-    let mut groups: Groups = Vec::new();
-    for row in rows {
-        let key: Vec<Value> = bound_keys.iter().map(|k| eval(k, row)).collect::<Result<_>>()?;
-        let gi = match index.get(&key) {
-            Some(&i) => i,
-            None => {
-                groups.push((
-                    key.clone(),
-                    aggs.iter().map(|a| AggState::new(a.kind, a.distinct)).collect(),
-                ));
-                index.insert(key, groups.len() - 1);
-                groups.len() - 1
-            }
-        };
-        for (state, arg) in groups[gi].1.iter_mut().zip(bound_args) {
-            let v = match arg {
-                Some(b) => eval(b, row)?,
-                None => Value::Null,
-            };
-            state.update(&v)?;
-        }
-    }
-    Ok(groups)
-}
-
-/// Fold per-worker partial groups together in worker order.
-fn merge_groups(parts: Vec<Groups>) -> Result<Groups> {
-    let mut iter = parts.into_iter();
-    let mut acc = iter.next().unwrap_or_default();
-    let mut index: HashMap<Vec<Value>, usize> =
-        acc.iter().enumerate().map(|(i, (k, _))| (k.clone(), i)).collect();
-    for part in iter {
-        for (key, states) in part {
-            match index.get(&key) {
-                Some(&i) => {
-                    for (a, b) in acc[i].1.iter_mut().zip(&states) {
-                        a.merge(b)?;
-                    }
-                }
-                None => {
-                    index.insert(key.clone(), acc.len());
-                    acc.push((key, states));
-                }
-            }
-        }
-    }
-    Ok(acc)
-}
-
-/// Turn finished groups into output rows (`key columns… then aggregates…`).
-fn finish_groups(mut groups: Groups, group_exprs: &[Expr], aggs: &[idaa_sql::plan::AggCall]) -> Result<Vec<Row>> {
-    if groups.is_empty() && group_exprs.is_empty() {
-        groups.push((vec![], aggs.iter().map(|a| AggState::new(a.kind, a.distinct)).collect()));
-    }
-    groups
-        .into_iter()
-        .map(|(mut key, states)| {
-            for s in states {
-                key.push(s.finish()?);
-            }
-            Ok(key)
-        })
-        .collect()
-}
-
-fn run_aggregate(
-    input: &Plan,
-    group_exprs: &[Expr],
-    aggs: &[idaa_sql::plan::AggCall],
-    ctx: &ExecCtx,
-) -> Result<Vec<Row>> {
-    let cols = input.cols();
-    let resolver = resolver_of(&cols);
-    let bound_keys: Vec<BoundExpr> =
-        group_exprs.iter().map(|e| bind(e, &resolver)).collect::<Result<_>>()?;
-    let bound_args: Vec<Option<BoundExpr>> = aggs
-        .iter()
-        .map(|a| a.arg.as_ref().map(|e| bind(e, &resolver)).transpose())
-        .collect::<Result<_>>()?;
-
-    let refs: Vec<&BoundExpr> =
-        bound_keys.iter().chain(bound_args.iter().flatten()).collect();
-    let child_mask = mask_of(cols.len(), &refs);
-    let rows = run_masked(input, ctx, Some(child_mask))?;
-
-    let workers = ctx.engine.config.workers();
-    let groups = if workers > 1 && rows.len() > 1 {
-        let chunk = rows.len().div_ceil(workers).max(1);
-        let chunks: Vec<&[Row]> = rows.chunks(chunk).collect();
-        let parts: Vec<Groups> =
-            run_parts(chunks.len(), |ci| aggregate_rows(chunks[ci], &bound_keys, &bound_args, aggs))?
-                .into_iter()
-                .collect::<Result<_>>()?;
-        merge_groups(parts)?
-    } else {
-        aggregate_rows(&rows, &bound_keys, &bound_args, aggs)?
-    };
-    finish_groups(groups, group_exprs, aggs)
-}
-
 // Kernel-level unit tests live here; engine-level behavior is tested in
 // `engine.rs` and the integration suite.
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idaa_common::{DataType, ObjectName};
+    use idaa_common::{ColumnDef, DataType, ObjectName, Schema};
 
     #[test]
     fn zone_pruning_rules() {
@@ -2470,229 +1591,6 @@ mod tests {
         }
     }
 
-    /// Deterministic pseudo-random rows: (key, payload) pairs with heavy
-    /// key duplication so joins and sorts exercise ties.
-    fn synth_rows(n: usize, seed: u64, key_mod: i64) -> Vec<Row> {
-        let mut x = seed;
-        (0..n)
-            .map(|i| {
-                // splitmix64 step — fixed, no external RNG.
-                x = x.wrapping_add(0x9e3779b97f4a7c15);
-                let mut z = x;
-                z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-                z ^= z >> 31;
-                vec![Value::BigInt((z % key_mod as u64) as i64), Value::BigInt(i as i64)]
-            })
-            .collect()
-    }
-
-    fn canon(mut rows: Vec<Row>) -> Vec<Row> {
-        rows.sort_by(|a, b| {
-            a.iter()
-                .zip(b.iter())
-                .map(|(x, y)| x.cmp_total(y))
-                .find(|o| *o != std::cmp::Ordering::Equal)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        rows
-    }
-
-    #[test]
-    fn worker_panic_fails_the_call_not_the_process() {
-        let r = run_parts(3, |i| {
-            if i == 1 {
-                panic!("injected worker failure");
-            }
-            i
-        });
-        let err = r.expect_err("a panicking part must fail the call");
-        assert_eq!(err.sqlcode(), -901);
-        // Nothing is poisoned: the next call runs normally.
-        assert_eq!(run_parts(3, |i| i * 2).unwrap(), vec![0, 2, 4]);
-    }
-
-    #[test]
-    fn parallel_sort_matches_serial() {
-        let rows = synth_rows(501, 7, 13);
-        let keys = [(0usize, false), (1usize, true)];
-        let serial = sort_rows(rows.clone(), &keys, 1);
-        for workers in [2, 3, 4, 8] {
-            assert_eq!(sort_rows(rows.clone(), &keys, workers), serial, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn parallel_sort_is_stable_like_serial() {
-        // Many ties on the single sort key: the k-way merge must preserve
-        // the original relative order of equal rows, like the serial
-        // stable sort does.
-        let rows = synth_rows(200, 3, 4);
-        let keys = [(0usize, false)];
-        let serial = sort_rows(rows.clone(), &keys, 1);
-        assert_eq!(sort_rows(rows, &keys, 4), serial);
-    }
-
-    #[test]
-    fn top_k_matches_stable_sort_truncate() {
-        let rows = synth_rows(300, 11, 9);
-        let keys = [(0usize, true)];
-        for k in [0usize, 1, 5, 50, 299, 300, 400] {
-            let mut expect = sort_rows(rows.clone(), &keys, 1);
-            expect.truncate(k);
-            let got = top_k(rows.clone(), k, sort_cmp(&keys));
-            assert_eq!(got, expect, "k={k}");
-        }
-    }
-
-    /// Extract both sides under `layout`, with the whole-join generic
-    /// fallback `run_join` applies when a value falls outside the class.
-    fn extract_both(
-        lkeys: &[BoundExpr],
-        lrows: &[Row],
-        rkeys: &[BoundExpr],
-        rrows: &[Row],
-        layout: KeyLayout,
-    ) -> (Keyed, Keyed) {
-        match (
-            try_extract_keys(lkeys, lrows, layout).unwrap(),
-            try_extract_keys(rkeys, rrows, layout).unwrap(),
-        ) {
-            (Some(l), Some(r)) => (l, r),
-            _ => (
-                extract_generic(lkeys, lrows).unwrap(),
-                extract_generic(rkeys, rrows).unwrap(),
-            ),
-        }
-    }
-
-    #[test]
-    fn hash_join_parallel_matches_serial() {
-        let mut lrows = synth_rows(400, 1, 37);
-        let mut rrows = synth_rows(350, 2, 37);
-        // Sprinkle NULL keys on both sides: they must never match, and
-        // LEFT joins must null-extend the probe-side ones exactly once.
-        for i in (0..rrows.len()).step_by(41) {
-            rrows[i][0] = Value::Null;
-        }
-        for i in (0..lrows.len()).step_by(53) {
-            lrows[i][0] = Value::Null;
-        }
-        let lkeys = [BoundExpr::Column(0)];
-        let rkeys = [BoundExpr::Column(0)];
-        for layout in [KeyLayout::I64, KeyLayout::Generic] {
-            let (lkeyed, rkeyed) = extract_both(&lkeys, &lrows, &rkeys, &rrows, layout);
-            for kind in [JoinKind::Inner, JoinKind::Left] {
-                let (serial, _) =
-                    hash_join(&lrows, &rrows, kind, &lkeyed, &rkeyed, None, 2, 1).unwrap();
-                for workers in [2, 4, 8] {
-                    let (par, _) =
-                        hash_join(&lrows, &rrows, kind, &lkeyed, &rkeyed, None, 2, workers)
-                            .unwrap();
-                    // Partition concatenation order differs from serial row
-                    // order, but the multiset of joined rows is identical.
-                    assert_eq!(
-                        canon(par),
-                        canon(serial.clone()),
-                        "{layout:?} {kind:?} workers={workers}"
-                    );
-                }
-                if kind == JoinKind::Left {
-                    let padded = serial
-                        .iter()
-                        .filter(|r| r[2] == Value::Null && r[3] == Value::Null)
-                        .count();
-                    assert!(padded > 0, "expected null-extended probe rows");
-                }
-            }
-        }
-    }
-
-    /// Row-at-a-time oracle from the join's defining semantics: probe rows
-    /// in input order, each matched against build rows in input order, NULL
-    /// keys never matching, LEFT padding in place.
-    fn oracle_join(lrows: &[Row], rrows: &[Row], kind: JoinKind) -> Vec<Row> {
-        let mut out = Vec::new();
-        for lrow in lrows {
-            let mut matched = false;
-            for rrow in rrows {
-                if lrow[0] == Value::Null || rrow[0] == Value::Null || lrow[0] != rrow[0] {
-                    continue;
-                }
-                let mut j = lrow.clone();
-                j.extend(rrow.iter().cloned());
-                matched = true;
-                out.push(j);
-            }
-            if !matched && kind == JoinKind::Left {
-                let mut j = lrow.clone();
-                j.extend(std::iter::repeat_n(Value::Null, 2));
-                out.push(j);
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn hash_join_serial_output_order_is_pinned() {
-        let mut lrows = synth_rows(150, 9, 13);
-        let mut rrows = synth_rows(120, 10, 13);
-        for i in (0..rrows.len()).step_by(17) {
-            rrows[i][0] = Value::Null;
-        }
-        for i in (0..lrows.len()).step_by(19) {
-            lrows[i][0] = Value::Null;
-        }
-        let keys = [BoundExpr::Column(0)];
-        for layout in [KeyLayout::I64, KeyLayout::Generic] {
-            let (lkeyed, rkeyed) = extract_both(&keys, &lrows, &keys, &rrows, layout);
-            for kind in [JoinKind::Inner, JoinKind::Left] {
-                // One partition ⇒ byte-identical to the nested oracle, not
-                // just the same multiset: probe order, then build order.
-                let (got, _) =
-                    hash_join(&lrows, &rrows, kind, &lkeyed, &rkeyed, None, 2, 1).unwrap();
-                assert_eq!(got, oracle_join(&lrows, &rrows, kind), "{layout:?} {kind:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn typed_key_extraction_falls_back_on_layout_violation() {
-        let keys = [BoundExpr::Column(0)];
-        // A Double value under the I64 layout: the whole side refuses.
-        let rows = vec![vec![Value::BigInt(1)], vec![Value::Double(2.5)]];
-        assert!(try_extract_keys(&keys, &rows, KeyLayout::I64).unwrap().is_none());
-        // A number under the Str layout likewise.
-        let rows = vec![vec![Value::Varchar("a".into())], vec![Value::Int(3)]];
-        assert!(try_extract_keys(&keys, &rows, KeyLayout::Str).unwrap().is_none());
-        // The generic layout accepts anything.
-        let rows = vec![vec![Value::BigInt(1)], vec![Value::Double(2.5)], vec![Value::Null]];
-        let keyed = try_extract_keys(&keys, &rows, KeyLayout::Generic).unwrap().unwrap();
-        assert!(keyed[0].is_some() && keyed[1].is_some() && keyed[2].is_none());
-    }
-
-    #[test]
-    fn string_keys_join_with_db2_padded_semantics() {
-        // 'EU' must join 'EU  ' under both the typed and generic layouts,
-        // exactly like Value equality for CHAR-family pairs.
-        let lrows: Vec<Row> =
-            vec![vec![Value::Varchar("EU".into())], vec![Value::Varchar("US ".into())]];
-        let rrows: Vec<Row> =
-            vec![vec![Value::Varchar("EU  ".into())], vec![Value::Varchar("ASIA".into())]];
-        let keys = [BoundExpr::Column(0)];
-        let mut outs = Vec::new();
-        for layout in [KeyLayout::Str, KeyLayout::Generic] {
-            let (lkeyed, rkeyed) = extract_both(&keys, &lrows, &keys, &rrows, layout);
-            let (out, _) =
-                hash_join(&lrows, &rrows, JoinKind::Inner, &lkeyed, &rkeyed, None, 1, 1)
-                    .unwrap();
-            outs.push(out);
-        }
-        assert_eq!(outs[0], outs[1]);
-        assert_eq!(outs[0].len(), 1);
-        assert_eq!(outs[0][0][0], Value::Varchar("EU".into()));
-    }
-
     #[test]
     fn probe_filter_drops_only_never_matching_rows() {
         let table = AccelTable::new(
@@ -2819,24 +1717,4 @@ mod tests {
         }
     }
 
-    #[test]
-    fn nested_loop_parallel_matches_serial_order_exactly() {
-        let lrows = synth_rows(120, 5, 11);
-        let rrows = synth_rows(90, 6, 11);
-        // Non-equi ON: left.key < right.key.
-        let on = BoundExpr::Binary {
-            left: Box::new(BoundExpr::Column(0)),
-            op: BinaryOp::Lt,
-            right: Box::new(BoundExpr::Column(2)),
-        };
-        for kind in [JoinKind::Inner, JoinKind::Left] {
-            let serial = nested_loop_join(&lrows, &rrows, kind, &on, 2, 1).unwrap();
-            for workers in [2, 4, 7] {
-                // Chunk-order concatenation reproduces the serial output
-                // byte for byte — not just as a multiset.
-                let par = nested_loop_join(&lrows, &rrows, kind, &on, 2, workers).unwrap();
-                assert_eq!(par, serial, "{kind:?} workers={workers}");
-            }
-        }
-    }
 }

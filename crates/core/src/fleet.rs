@@ -30,6 +30,7 @@ use idaa_common::{wire, Error, ObjectName, Result, Row, Rows, Schema, Value};
 use idaa_host::TxnId;
 use idaa_netsim::{sites, Direction, FaultRegistry, LinkMetrics, NetLink};
 use idaa_sql::ast::{BinaryOp, Expr, JoinKind, OrderByItem, Query, SelectItem, TableRef};
+use idaa_sql::plan::split_conjuncts;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -735,29 +736,17 @@ fn find_join_pushdown(
             },
         }
     };
-    let mut stack = vec![on];
-    while let Some(e) = stack.pop() {
-        if let Expr::Binary { left, op, right } = e {
-            match op {
-                BinaryOp::And => {
-                    stack.push(right);
-                    stack.push(left);
+    for conj in split_conjuncts(on) {
+        let Expr::Binary { left, op: BinaryOp::Eq, right } = conj else { continue };
+        if let (Some((ls, li)), Some((rs, ri))) = (side_of(left), side_of(right)) {
+            if ls != rs {
+                let (probe_col, build_col) = if ls { (li, ri) } else { (ri, li) };
+                let pt = probe_schema.columns()[probe_col].data_type;
+                let bt = build_schema.columns()[build_col].data_type;
+                if (pt.is_integer() && bt.is_integer()) || (pt.is_character() && bt.is_character())
+                {
+                    return Some(JoinPushdown { build, probe_col, build_col });
                 }
-                BinaryOp::Eq => {
-                    if let (Some((ls, li)), Some((rs, ri))) = (side_of(left), side_of(right)) {
-                        if ls != rs {
-                            let (probe_col, build_col) = if ls { (li, ri) } else { (ri, li) };
-                            let pt = probe_schema.columns()[probe_col].data_type;
-                            let bt = build_schema.columns()[build_col].data_type;
-                            if (pt.is_integer() && bt.is_integer())
-                                || (pt.is_character() && bt.is_character())
-                            {
-                                return Some(JoinPushdown { build, probe_col, build_col });
-                            }
-                        }
-                    }
-                }
-                _ => {}
             }
         }
     }

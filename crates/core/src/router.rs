@@ -18,7 +18,7 @@
 use idaa_common::{Error, ObjectName, Result};
 use idaa_host::{AccelStatus, HostEngine, TableKind};
 use idaa_sql::ast::{BinaryOp, Expr};
-use idaa_sql::plan::Plan;
+use idaa_sql::plan::{split_conjuncts, Plan};
 use idaa_sql::AccelerationMode;
 
 /// Where a statement executes.
@@ -83,24 +83,17 @@ pub fn is_indexed_point(host: &HostEngine, plan: &Plan) -> bool {
 
 fn filter_hits_index(host: &HostEngine, table: &ObjectName, predicate: &Expr) -> bool {
     let Ok(meta) = host.table_meta(table) else { return false };
-    let mut conjs = vec![predicate];
-    let mut eq_cols: Vec<&str> = Vec::new();
-    while let Some(e) = conjs.pop() {
-        match e {
-            Expr::Binary { left, op: BinaryOp::And, right } => {
-                conjs.push(left);
-                conjs.push(right);
-            }
-            Expr::Binary { left, op: BinaryOp::Eq, right } => {
-                match (left.as_ref(), right.as_ref()) {
-                    (Expr::Column { name, .. }, Expr::Literal(_))
-                    | (Expr::Literal(_), Expr::Column { name, .. }) => eq_cols.push(name),
-                    _ => {}
-                }
-            }
-            _ => {}
-        }
-    }
+    let eq_cols: Vec<&str> = split_conjuncts(predicate)
+        .into_iter()
+        .filter_map(|conj| match conj {
+            Expr::Binary { left, op: BinaryOp::Eq, right } => match (left.as_ref(), right.as_ref()) {
+                (Expr::Column { name, .. }, Expr::Literal(_))
+                | (Expr::Literal(_), Expr::Column { name, .. }) => Some(name.as_str()),
+                _ => None,
+            },
+            _ => None,
+        })
+        .collect();
     meta.indexes
         .iter()
         .any(|idx| idx.key_columns.first().map(|c| eq_cols.contains(&c.as_str())).unwrap_or(false))

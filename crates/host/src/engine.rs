@@ -6,7 +6,7 @@
 //! decides which statements ever reach this engine versus the accelerator.
 
 use crate::catalog::{AccelStatus, Catalog, TableId, TableKind, TableMeta};
-use crate::exec::{execute_plan, execute_plan_profiled, RowSource};
+use crate::exec::HostSource;
 use crate::index::BTreeIndex;
 use crate::lock::{LockManager, LockMode};
 use crate::privilege::PrivilegeCatalog;
@@ -15,6 +15,7 @@ use crate::txn::{ChangeOp, ChangeRecord, TxnId, TxnManager, UndoRecord};
 use idaa_common::{Error, ObjectName, Result, Row, Rows, Schema, Value};
 use idaa_sql::ast::{Expr, Query};
 use idaa_sql::eval::{bind, eval, eval_predicate, FlatResolver};
+use idaa_sql::exec::execute_plan;
 use idaa_sql::plan::{plan_query, Plan, PlanProfile, SchemaProvider};
 use idaa_sql::Privilege;
 use parking_lot::RwLock;
@@ -373,7 +374,7 @@ impl HostEngine {
     pub fn query(&self, user: &str, txn: TxnId, query: &Query) -> Result<Rows> {
         let plan = plan_query(query, self)?;
         self.check_and_lock_for_query(user, txn, &plan)?;
-        let result = execute_plan(&plan, &EngineSource { engine: self });
+        let result = execute_plan(&plan, &HostSource { engine: self }, None);
         self.end_statement(txn);
         self.stats.statements.fetch_add(1, Ordering::Relaxed);
         result
@@ -392,7 +393,7 @@ impl HostEngine {
         let plan = Box::new(plan_query(query, self)?);
         self.check_and_lock_for_query(user, txn, &plan)?;
         let profile = PlanProfile::default();
-        let result = execute_plan_profiled(&plan, &EngineSource { engine: self }, &profile);
+        let result = execute_plan(&plan, &HostSource { engine: self }, Some(&profile));
         self.end_statement(txn);
         self.stats.statements.fetch_add(1, Ordering::Relaxed);
         Ok((result?, plan, profile))
@@ -444,24 +445,18 @@ impl SchemaProvider for HostEngine {
     }
 }
 
-/// Adapter exposing engine storage to the executor.
-struct EngineSource<'a> {
-    engine: &'a HostEngine,
-}
-
-impl RowSource for EngineSource<'_> {
-    fn scan_table(&self, table: &ObjectName) -> Result<Vec<Row>> {
-        self.engine.scan_all(table)
-    }
-
-    fn index_lookup(
+/// Index access paths for the executor's host source.
+impl HostEngine {
+    /// Rows whose `column` equals `value`, served by a single-column index
+    /// on it. `Ok(None)` means "no usable index — fall back to a scan".
+    pub(crate) fn index_lookup(
         &self,
         table: &ObjectName,
         column: &str,
         value: &Value,
     ) -> Result<Option<Vec<Row>>> {
-        let store = self.engine.store(table)?;
-        let meta = self.engine.table_meta(table)?;
+        let store = self.store(table)?;
+        let meta = self.table_meta(table)?;
         let ordinal = meta.schema.index_of(column)?;
         let indexes = store.indexes.read();
         let Some(idx) = indexes.iter().find(|i| i.key_columns.first() == Some(&ordinal)) else {
@@ -473,7 +468,7 @@ impl RowSource for EngineSource<'_> {
         if idx.key_columns.len() != 1 {
             return Ok(None);
         }
-        self.engine.stats.index_lookups.fetch_add(1, Ordering::Relaxed);
+        self.stats.index_lookups.fetch_add(1, Ordering::Relaxed);
         let rows = idx
             .lookup(std::slice::from_ref(value))
             .into_iter()
@@ -482,7 +477,11 @@ impl RowSource for EngineSource<'_> {
         Ok(Some(rows))
     }
 
-    fn index_range(
+    /// Rows whose `column` lies in the *inclusive* `[low, high]` range (open
+    /// ends when `None`), served by a single-column index on it. The caller
+    /// re-applies the full predicate, so a superset (e.g. for strict
+    /// bounds) is correct. `Ok(None)` means "no usable index".
+    pub(crate) fn index_range(
         &self,
         table: &ObjectName,
         column: &str,
@@ -492,8 +491,8 @@ impl RowSource for EngineSource<'_> {
         if low.is_none() && high.is_none() {
             return Ok(None);
         }
-        let store = self.engine.store(table)?;
-        let meta = self.engine.table_meta(table)?;
+        let store = self.store(table)?;
+        let meta = self.table_meta(table)?;
         let ordinal = meta.schema.index_of(column)?;
         let indexes = store.indexes.read();
         let Some(idx) = indexes
@@ -502,7 +501,7 @@ impl RowSource for EngineSource<'_> {
         else {
             return Ok(None);
         };
-        self.engine.stats.index_range_scans.fetch_add(1, Ordering::Relaxed);
+        self.stats.index_range_scans.fetch_add(1, Ordering::Relaxed);
         let rows = idx
             .range(low, high)
             .into_iter()

@@ -1,171 +1,115 @@
-//! Row-at-a-time (Volcano-style, materialized per operator) execution of
-//! logical plans for the host engine.
+//! The host engine's access paths: how the shared reference executor
+//! (`idaa_sql::exec`) reaches DB2-style row storage.
 //!
-//! The executor is deliberately a *row* engine: every operator touches full
-//! rows, expressions are interpreted per row, and scans walk every slot of
-//! every page. That cost model is the baseline the accelerator's columnar
-//! engine is compared against throughout the experiments.
+//! The host stays a serial row engine: one worker, scans that walk every
+//! slot of every page and return full rows, and interpreted expressions
+//! over them. A `Filter` directly over a `Scan` is served from a B-tree when
+//! a conjunct pins an indexed column to a literal (equality first, then
+//! merged range bounds), with the whole predicate re-checked on the index
+//! hits. That cost model is the baseline the accelerator's columnar engine
+//! is compared against throughout the experiments.
 
-use idaa_common::{ColumnDef, ObjectName, Result, Row, Rows, Schema, Value};
-use idaa_sql::ast::{BinaryOp, Expr, JoinKind};
-use idaa_sql::eval::{bind, eval, eval_predicate, AggState, BoundExpr, FlatResolver};
-use idaa_sql::plan::{Plan, PlanCol, PlanProfile};
-use std::collections::HashMap;
+use crate::engine::HostEngine;
+use idaa_common::{ObjectName, Result, Row, Value};
+use idaa_sql::ast::{BinaryOp, Expr};
+use idaa_sql::eval::bind;
+use idaa_sql::exec::{filter_rows, ProbeKeys, ScanSpec, Source};
+use idaa_sql::plan::{resolver_of, split_conjuncts, PlanCol, PlanProfile};
 
-/// Supplies base-table rows to the executor. The engine implements this on
-/// top of heap storage, locks and indexes; tests can implement it directly.
-pub trait RowSource {
-    /// All live rows of `table`.
-    fn scan_table(&self, table: &ObjectName) -> Result<Vec<Row>>;
+/// The host's [`Source`]: heap scans and index access paths. It ignores
+/// projection masks and derived join filters, and runs serially.
+pub(crate) struct HostSource<'a> {
+    pub engine: &'a HostEngine,
+}
 
-    /// Rows whose `column` equals `value`, when an index makes that cheap.
-    /// `Ok(None)` means "no usable index — fall back to a scan".
-    fn index_lookup(
+impl Source for HostSource<'_> {
+    fn scan(
+        &self,
+        spec: &ScanSpec,
+        _needed: Option<Vec<bool>>,
+        _probe: Option<&ProbeKeys>,
+        profile: Option<&PlanProfile>,
+    ) -> Result<Vec<Row>> {
+        let Some(predicate) = spec.predicate else { return self.engine.scan_all(spec.table) };
+        let bound = bind(predicate, &resolver_of(spec.cols))?;
+        // Residual: the full predicate still applies (cheap on the few
+        // index hits).
+        if let Some(rows) = self.index_rows(spec.table, spec.cols, predicate)? {
+            return filter_rows(rows, &bound);
+        }
+        // No usable index: the full scan runs as the Filter's child.
+        let rows = self.engine.scan_all(spec.table)?;
+        if let Some(prof) = profile {
+            prof.record(spec.scan, rows.len() as u64);
+        }
+        filter_rows(rows, &bound)
+    }
+
+    fn workers(&self) -> usize {
+        1
+    }
+}
+
+impl HostSource<'_> {
+    /// Candidate rows from an index serving one of `predicate`'s conjuncts,
+    /// or `None` when no index applies.
+    fn index_rows(
         &self,
         table: &ObjectName,
-        column: &str,
-        value: &Value,
-    ) -> Result<Option<Vec<Row>>>;
-
-    /// Rows whose `column` lies in the *inclusive* `[low, high]` range (open
-    /// ends when `None`), when an index can serve it. The caller re-applies
-    /// the full predicate, so returning a superset (e.g. for strict bounds)
-    /// is correct. `Ok(None)` means "no usable index".
-    fn index_range(
-        &self,
-        _table: &ObjectName,
-        _column: &str,
-        _low: Option<&Value>,
-        _high: Option<&Value>,
+        cols: &[PlanCol],
+        predicate: &Expr,
     ) -> Result<Option<Vec<Row>>> {
+        let conjs = split_conjuncts(predicate);
+        // Equality lookups first (most selective)…
+        for conj in &conjs {
+            if let Some((col, val)) = eq_literal(conj, cols) {
+                if let Some(rows) = self.engine.index_lookup(table, col, val)? {
+                    return Ok(Some(rows));
+                }
+            }
+        }
+        // …then range access: merge every bound on the same column.
+        let mut merged: Vec<RangeBound> = Vec::new();
+        for conj in &conjs {
+            if let Some(rb) = range_literal(conj, cols) {
+                match merged.iter_mut().find(|m| m.column == rb.column) {
+                    Some(m) => {
+                        if rb.low.is_some() {
+                            m.low = rb.low;
+                        }
+                        if rb.high.is_some() {
+                            m.high = rb.high;
+                        }
+                    }
+                    None => merged.push(rb),
+                }
+            }
+        }
+        for rb in &merged {
+            if let Some(rows) = self.engine.index_range(table, rb.column, rb.low, rb.high)? {
+                return Ok(Some(rows));
+            }
+        }
         Ok(None)
     }
 }
 
-/// Execute `plan` against `src`, producing a materialized result.
-pub fn execute_plan(plan: &Plan, src: &dyn RowSource) -> Result<Rows> {
-    let rows = run(plan, src, None)?;
-    Ok(Rows::new(schema_of(plan), rows))
+/// `e` as a bare column of the scan producing `cols`, by name.
+fn scan_column<'a>(e: &'a Expr, cols: &[PlanCol]) -> Option<&'a str> {
+    let Expr::Column { qualifier, name } = e else { return None };
+    cols.iter()
+        .any(|c| {
+            c.name == *name
+                && qualifier.as_ref().is_none_or(|q| c.qualifier.as_deref() == Some(q.as_str()))
+        })
+        .then_some(name.as_str())
 }
 
-/// Like [`execute_plan`], recording each node's output cardinality into
-/// `profile` (for `EXPLAIN ANALYZE` / tracing).
-pub fn execute_plan_profiled(
-    plan: &Plan,
-    src: &dyn RowSource,
-    profile: &PlanProfile,
-) -> Result<Rows> {
-    let rows = run(plan, src, Some(profile))?;
-    Ok(Rows::new(schema_of(plan), rows))
-}
-
-fn schema_of(plan: &Plan) -> Schema {
-    Schema::new_unchecked(
-        plan.cols()
-            .into_iter()
-            .map(|c| ColumnDef::new(c.name, c.data_type))
-            .collect(),
-    )
-}
-
-fn resolver_of(cols: &[PlanCol]) -> FlatResolver {
-    FlatResolver::new(cols.iter().map(|c| (c.qualifier.clone(), c.name.clone())).collect())
-}
-
-/// Dispatch one node and, when profiling, record its output cardinality on
-/// the way out.
-fn run(plan: &Plan, src: &dyn RowSource, prof: Option<&PlanProfile>) -> Result<Vec<Row>> {
-    let rows = run_inner(plan, src, prof)?;
-    if let Some(prof) = prof {
-        prof.record(plan, rows.len() as u64);
-    }
-    Ok(rows)
-}
-
-fn run_inner(plan: &Plan, src: &dyn RowSource, prof: Option<&PlanProfile>) -> Result<Vec<Row>> {
-    match plan {
-        Plan::Scan { table, cols, .. } => {
-            if cols.is_empty() && table.name == "SYSDUMMY1" {
-                // FROM-less SELECT evaluates over one empty row.
-                return Ok(vec![vec![]]);
-            }
-            src.scan_table(table)
-        }
-        Plan::Filter { input, predicate } => run_filter(input, predicate, src, prof),
-        Plan::Project { input, exprs, .. } => {
-            let in_cols = input.cols();
-            let resolver = resolver_of(&in_cols);
-            let bound: Vec<BoundExpr> = exprs
-                .iter()
-                .map(|(e, _)| bind(e, &resolver))
-                .collect::<Result<_>>()?;
-            let rows = run(input, src, prof)?;
-            rows.into_iter()
-                .map(|row| bound.iter().map(|b| eval(b, &row)).collect())
-                .collect()
-        }
-        Plan::Join { left, right, kind, on } => run_join(left, right, *kind, on, src, prof),
-        Plan::Aggregate { input, group_exprs, aggs, .. } => {
-            run_aggregate(input, group_exprs, aggs, src, prof)
-        }
-        Plan::Sort { input, keys } => {
-            let mut rows = run(input, src, prof)?;
-            rows.sort_by(|a, b| {
-                for (i, desc) in keys {
-                    let o = a[*i].cmp_total(&b[*i]);
-                    let o = if *desc { o.reverse() } else { o };
-                    if o != std::cmp::Ordering::Equal {
-                        return o;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-            Ok(rows)
-        }
-        Plan::KeepCols { input, n } => {
-            let mut rows = run(input, src, prof)?;
-            for row in &mut rows {
-                row.truncate(*n);
-            }
-            Ok(rows)
-        }
-        Plan::Distinct { input } => {
-            let rows = run(input, src, prof)?;
-            let mut seen: HashMap<Vec<Value>, ()> = HashMap::with_capacity(rows.len());
-            let mut out = Vec::new();
-            for row in rows {
-                if seen.insert(row.clone(), ()).is_none() {
-                    out.push(row);
-                }
-            }
-            Ok(out)
-        }
-        Plan::Limit { input, n } => {
-            let mut rows = run(input, src, prof)?;
-            rows.truncate(*n as usize);
-            Ok(rows)
-        }
-        Plan::Union { left, right, all } => {
-            let mut rows = run(left, src, prof)?;
-            rows.extend(run(right, src, prof)?);
-            if !*all {
-                let mut seen: HashMap<Vec<Value>, ()> = HashMap::with_capacity(rows.len());
-                rows.retain(|r| seen.insert(r.clone(), ()).is_none());
-            }
-            Ok(rows)
-        }
-    }
-}
-
-/// Split a predicate into its AND-ed conjuncts.
-pub fn conjuncts(e: &Expr) -> Vec<&Expr> {
+/// `e` as a non-NULL literal.
+fn non_null_literal(e: &Expr) -> Option<&Value> {
     match e {
-        Expr::Binary { left, op: BinaryOp::And, right } => {
-            let mut out = conjuncts(left);
-            out.extend(conjuncts(right));
-            out
-        }
-        other => vec![other],
+        Expr::Literal(v) if !v.is_null() => Some(v),
+        _ => None,
     }
 }
 
@@ -179,33 +123,15 @@ struct RangeBound<'a> {
 /// If `conj` bounds a single column (`col < lit`, `lit <= col`,
 /// `col BETWEEN a AND b`), return the inclusive-superset bound.
 fn range_literal<'a>(conj: &'a Expr, cols: &[PlanCol]) -> Option<RangeBound<'a>> {
-    let col_of = |e: &'a Expr| -> Option<&'a str> {
-        let Expr::Column { qualifier, name } = e else { return None };
-        cols.iter()
-            .any(|c| {
-                c.name == *name
-                    && qualifier
-                        .as_ref()
-                        .map(|q| c.qualifier.as_deref() == Some(q.as_str()))
-                        .unwrap_or(true)
-            })
-            .then_some(name.as_str())
-    };
-    let lit_of = |e: &'a Expr| -> Option<&'a Value> {
-        match e {
-            Expr::Literal(v) if !v.is_null() => Some(v),
-            _ => None,
-        }
-    };
     match conj {
         Expr::Between { expr, low, high, negated: false } => {
-            let column = col_of(expr)?;
-            Some(RangeBound { column, low: lit_of(low), high: lit_of(high) })
+            let column = scan_column(expr, cols)?;
+            Some(RangeBound { column, low: non_null_literal(low), high: non_null_literal(high) })
         }
         Expr::Binary { left, op, right } => {
             use BinaryOp::*;
             // col OP lit
-            if let (Some(column), Some(v)) = (col_of(left), lit_of(right)) {
+            if let (Some(column), Some(v)) = (scan_column(left, cols), non_null_literal(right)) {
                 return match op {
                     Lt | LtEq => Some(RangeBound { column, low: None, high: Some(v) }),
                     Gt | GtEq => Some(RangeBound { column, low: Some(v), high: None }),
@@ -213,7 +139,7 @@ fn range_literal<'a>(conj: &'a Expr, cols: &[PlanCol]) -> Option<RangeBound<'a>>
                 };
             }
             // lit OP col (flip)
-            if let (Some(v), Some(column)) = (lit_of(left), col_of(right)) {
+            if let (Some(v), Some(column)) = (non_null_literal(left), scan_column(right, cols)) {
                 return match op {
                     Lt | LtEq => Some(RangeBound { column, low: Some(v), high: None }),
                     Gt | GtEq => Some(RangeBound { column, low: None, high: Some(v) }),
@@ -232,445 +158,8 @@ fn eq_literal<'a>(conj: &'a Expr, cols: &[PlanCol]) -> Option<(&'a str, &'a Valu
     let Expr::Binary { left, op: BinaryOp::Eq, right } = conj else {
         return None;
     };
-    let as_col = |e: &'a Expr| -> Option<&'a str> {
-        let Expr::Column { qualifier, name } = e else { return None };
-        cols.iter()
-            .any(|c| {
-                c.name == *name
-                    && qualifier
-                        .as_ref()
-                        .map(|q| c.qualifier.as_deref() == Some(q.as_str()))
-                        .unwrap_or(true)
-            })
-            .then_some(name.as_str())
-    };
-    let as_lit = |e: &'a Expr| -> Option<&'a Value> {
-        match e {
-            Expr::Literal(v) if !v.is_null() => Some(v),
-            _ => None,
-        }
-    };
-    match (as_col(left), as_lit(right)) {
+    match (scan_column(left, cols), non_null_literal(right)) {
         (Some(c), Some(v)) => Some((c, v)),
-        _ => match (as_lit(left), as_col(right)) {
-            (Some(v), Some(c)) => Some((c, v)),
-            _ => None,
-        },
-    }
-}
-
-fn run_filter(
-    input: &Plan,
-    predicate: &Expr,
-    src: &dyn RowSource,
-    prof: Option<&PlanProfile>,
-) -> Result<Vec<Row>> {
-    let cols = input.cols();
-    let resolver = resolver_of(&cols);
-    let bound = bind(predicate, &resolver)?;
-    // Index access path: Filter directly over a Scan with an equality
-    // conjunct the source can serve from an index.
-    if let Plan::Scan { table, cols: scan_cols, .. } = input {
-        let residual_filter = |rows: Vec<Row>| -> Result<Vec<Row>> {
-            rows.into_iter()
-                .filter_map(|row| match eval_predicate(&bound, &row) {
-                    Ok(true) => Some(Ok(row)),
-                    Ok(false) => None,
-                    Err(e) => Some(Err(e)),
-                })
-                .collect()
-        };
-        // Equality lookups first (most selective)…
-        for conj in conjuncts(predicate) {
-            if let Some((col, val)) = eq_literal(conj, scan_cols) {
-                if let Some(rows) = src.index_lookup(table, col, val)? {
-                    // Residual: the full predicate still applies (cheap on
-                    // the few index hits).
-                    return residual_filter(rows);
-                }
-            }
-        }
-        // …then range access: merge every bound on the same column.
-        let mut merged: Vec<RangeBound> = Vec::new();
-        for conj in conjuncts(predicate) {
-            if let Some(rb) = range_literal(conj, scan_cols) {
-                match merged.iter_mut().find(|m| m.column == rb.column) {
-                    Some(m) => {
-                        if rb.low.is_some() {
-                            m.low = rb.low;
-                        }
-                        if rb.high.is_some() {
-                            m.high = rb.high;
-                        }
-                    }
-                    None => merged.push(rb),
-                }
-            }
-        }
-        for rb in &merged {
-            if let Some(rows) = src.index_range(table, rb.column, rb.low, rb.high)? {
-                return residual_filter(rows);
-            }
-        }
-    }
-    let rows = run(input, src, prof)?;
-    rows.into_iter()
-        .filter_map(|row| match eval_predicate(&bound, &row) {
-            Ok(true) => Some(Ok(row)),
-            Ok(false) => None,
-            Err(e) => Some(Err(e)),
-        })
-        .collect()
-}
-
-fn run_join(
-    left: &Plan,
-    right: &Plan,
-    kind: JoinKind,
-    on: &Expr,
-    src: &dyn RowSource,
-    prof: Option<&PlanProfile>,
-) -> Result<Vec<Row>> {
-    let lcols = left.cols();
-    let rcols = right.cols();
-    let lres = resolver_of(&lcols);
-    let rres = resolver_of(&rcols);
-    let combined = lres.concat(&rres);
-    let bound_on = bind(on, &combined)?;
-
-    let lrows = run(left, src, prof)?;
-    let rrows = run(right, src, prof)?;
-
-    // Extract equi-key pairs: conjuncts of the form <left-only expr> =
-    // <right-only expr>.
-    let all_conjuncts = conjuncts(on);
-    let total_conjuncts = all_conjuncts.len();
-    let mut lkeys: Vec<BoundExpr> = Vec::new();
-    let mut rkeys: Vec<BoundExpr> = Vec::new();
-    for conj in all_conjuncts {
-        if let Expr::Binary { left: a, op: BinaryOp::Eq, right: b } = conj {
-            if let (Ok(la), Ok(rb)) = (bind(a, &lres), bind(b, &rres)) {
-                lkeys.push(la);
-                rkeys.push(rb);
-                continue;
-            }
-            if let (Ok(lb), Ok(ra)) = (bind(b, &lres), bind(a, &rres)) {
-                lkeys.push(lb);
-                rkeys.push(ra);
-            }
-        }
-    }
-    // When every ON conjunct became an equi-key pair, hash-key equality
-    // already decides the whole predicate — skip the per-candidate re-check
-    // (the accelerator applies the same rule, keeping answers aligned).
-    let on_covered = lkeys.len() == total_conjuncts;
-
-    let rwidth = rcols.len();
-    let mut out = Vec::new();
-    if !lkeys.is_empty() {
-        // Hash join: build on the right side.
-        let mut table: HashMap<Vec<Value>, Vec<&Row>> = HashMap::with_capacity(rrows.len());
-        for rrow in &rrows {
-            let key: Vec<Value> = rkeys.iter().map(|k| eval(k, rrow)).collect::<Result<_>>()?;
-            // SQL join keys never match on NULL.
-            if key.iter().any(Value::is_null) {
-                continue;
-            }
-            table.entry(key).or_default().push(rrow);
-        }
-        for lrow in &lrows {
-            let key: Result<Vec<Value>> = lkeys.iter().map(|k| eval(k, lrow)).collect();
-            let key = key?;
-            let mut matched = false;
-            if !key.iter().any(Value::is_null) {
-                if let Some(candidates) = table.get(&key) {
-                    for rrow in candidates {
-                        let mut joined = lrow.clone();
-                        joined.extend(rrow.iter().cloned());
-                        if on_covered || eval_predicate(&bound_on, &joined)? {
-                            matched = true;
-                            out.push(joined);
-                        }
-                    }
-                }
-            }
-            if !matched && kind == JoinKind::Left {
-                let mut joined = lrow.clone();
-                joined.extend(std::iter::repeat_n(Value::Null, rwidth));
-                out.push(joined);
-            }
-        }
-    } else {
-        // Nested-loop join for non-equi conditions.
-        for lrow in &lrows {
-            let mut matched = false;
-            for rrow in &rrows {
-                let mut joined = lrow.clone();
-                joined.extend(rrow.iter().cloned());
-                if eval_predicate(&bound_on, &joined)? {
-                    matched = true;
-                    out.push(joined);
-                }
-            }
-            if !matched && kind == JoinKind::Left {
-                let mut joined = lrow.clone();
-                joined.extend(std::iter::repeat_n(Value::Null, rwidth));
-                out.push(joined);
-            }
-        }
-    }
-    Ok(out)
-}
-
-fn run_aggregate(
-    input: &Plan,
-    group_exprs: &[Expr],
-    aggs: &[idaa_sql::plan::AggCall],
-    src: &dyn RowSource,
-    prof: Option<&PlanProfile>,
-) -> Result<Vec<Row>> {
-    let cols = input.cols();
-    let resolver = resolver_of(&cols);
-    let bound_keys: Vec<BoundExpr> = group_exprs
-        .iter()
-        .map(|e| bind(e, &resolver))
-        .collect::<Result<_>>()?;
-    let bound_args: Vec<Option<BoundExpr>> = aggs
-        .iter()
-        .map(|a| a.arg.as_ref().map(|e| bind(e, &resolver)).transpose())
-        .collect::<Result<_>>()?;
-
-    let rows = run(input, src, prof)?;
-    // Insertion-ordered grouping for deterministic output.
-    let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-    let mut groups: Vec<(Vec<Value>, Vec<AggState>)> = Vec::new();
-    for row in &rows {
-        let key: Vec<Value> = bound_keys.iter().map(|k| eval(k, row)).collect::<Result<_>>()?;
-        let gi = match index.get(&key) {
-            Some(&i) => i,
-            None => {
-                let states = aggs
-                    .iter()
-                    .map(|a| AggState::new(a.kind, a.distinct))
-                    .collect::<Vec<_>>();
-                groups.push((key.clone(), states));
-                index.insert(key, groups.len() - 1);
-                groups.len() - 1
-            }
-        };
-        for (state, arg) in groups[gi].1.iter_mut().zip(&bound_args) {
-            let v = match arg {
-                Some(b) => eval(b, row)?,
-                None => Value::Null, // COUNT(*) counts the row regardless
-            };
-            state.update(&v)?;
-        }
-    }
-    // Global aggregation over an empty input still yields one group.
-    if groups.is_empty() && group_exprs.is_empty() {
-        let states: Vec<AggState> =
-            aggs.iter().map(|a| AggState::new(a.kind, a.distinct)).collect();
-        groups.push((vec![], states));
-    }
-    groups
-        .into_iter()
-        .map(|(mut key, states)| {
-            for s in states {
-                key.push(s.finish()?);
-            }
-            Ok(key)
-        })
-        .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use idaa_common::{DataType, Error};
-    use idaa_sql::parse_statement;
-    use idaa_sql::plan::{plan_query, SchemaProvider};
-    use idaa_sql::Statement;
-
-    struct Mem {
-        tables: HashMap<String, (Schema, Vec<Row>)>,
-    }
-
-    impl Mem {
-        fn demo() -> Mem {
-            let mut tables = HashMap::new();
-            tables.insert(
-                "EMP".to_string(),
-                (
-                    Schema::new(vec![
-                        ColumnDef::new("ID", DataType::Integer),
-                        ColumnDef::new("DEPT", DataType::Varchar(8)),
-                        ColumnDef::new("PAY", DataType::Integer),
-                    ])
-                    .unwrap(),
-                    vec![
-                        vec![Value::Int(1), Value::Varchar("ENG".into()), Value::Int(100)],
-                        vec![Value::Int(2), Value::Varchar("ENG".into()), Value::Int(200)],
-                        vec![Value::Int(3), Value::Varchar("OPS".into()), Value::Int(150)],
-                        vec![Value::Int(4), Value::Varchar("OPS".into()), Value::Null],
-                    ],
-                ),
-            );
-            tables.insert(
-                "DEPT".to_string(),
-                (
-                    Schema::new(vec![
-                        ColumnDef::new("NAME", DataType::Varchar(8)),
-                        ColumnDef::new("SITE", DataType::Varchar(8)),
-                    ])
-                    .unwrap(),
-                    vec![
-                        vec![Value::Varchar("ENG".into()), Value::Varchar("BB".into())],
-                        vec![Value::Varchar("FIN".into()), Value::Varchar("NY".into())],
-                    ],
-                ),
-            );
-            Mem { tables }
-        }
-    }
-
-    impl SchemaProvider for Mem {
-        fn table_schema(&self, name: &ObjectName) -> Result<Schema> {
-            self.tables
-                .get(&name.name)
-                .map(|(s, _)| s.clone())
-                .ok_or_else(|| Error::UndefinedObject(name.to_string()))
-        }
-    }
-
-    impl RowSource for Mem {
-        fn scan_table(&self, table: &ObjectName) -> Result<Vec<Row>> {
-            self.tables
-                .get(&table.name)
-                .map(|(_, r)| r.clone())
-                .ok_or_else(|| Error::UndefinedObject(table.to_string()))
-        }
-
-        fn index_lookup(
-            &self,
-            _table: &ObjectName,
-            _column: &str,
-            _value: &Value,
-        ) -> Result<Option<Vec<Row>>> {
-            Ok(None)
-        }
-    }
-
-    fn q(sql: &str) -> Rows {
-        let mem = Mem::demo();
-        let Statement::Query(query) = parse_statement(sql).unwrap() else { panic!() };
-        let plan = plan_query(&query, &mem).unwrap();
-        execute_plan(&plan, &mem).unwrap()
-    }
-
-    #[test]
-    fn scan_project_filter() {
-        let r = q("SELECT id FROM emp WHERE pay > 120");
-        assert_eq!(r.len(), 2);
-        let ids: Vec<i64> = r.rows.iter().map(|x| x[0].as_i64().unwrap()).collect();
-        assert_eq!(ids, vec![2, 3]);
-    }
-
-    #[test]
-    fn null_pay_filtered_out() {
-        let r = q("SELECT id FROM emp WHERE pay < 1000");
-        assert_eq!(r.len(), 3, "NULL pay must not satisfy the predicate");
-    }
-
-    #[test]
-    fn computed_projection() {
-        let r = q("SELECT id * 10 AS x FROM emp WHERE id = 1");
-        assert_eq!(r.scalar().unwrap(), &Value::BigInt(10));
-        assert_eq!(r.schema.columns()[0].name, "X");
-    }
-
-    #[test]
-    fn order_and_limit() {
-        let r = q("SELECT id FROM emp ORDER BY pay DESC LIMIT 2");
-        // NULL sorts high... DESC reverses: NULL first.
-        assert_eq!(r.rows[0][0], Value::Int(4));
-        assert_eq!(r.rows[1][0], Value::Int(2));
-    }
-
-    #[test]
-    fn group_by_aggregates() {
-        let r = q("SELECT dept, COUNT(*), SUM(pay), AVG(pay) FROM emp GROUP BY dept ORDER BY dept");
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.rows[0][0], Value::Varchar("ENG".into()));
-        assert_eq!(r.rows[0][1], Value::BigInt(2));
-        assert_eq!(r.rows[0][2], Value::BigInt(300));
-        assert_eq!(r.rows[0][3], Value::Double(150.0));
-        // OPS: one NULL pay -> SUM=150, COUNT(*)=2
-        assert_eq!(r.rows[1][1], Value::BigInt(2));
-        assert_eq!(r.rows[1][2], Value::BigInt(150));
-    }
-
-    #[test]
-    fn global_aggregate_on_empty_filter() {
-        let r = q("SELECT COUNT(*), SUM(pay) FROM emp WHERE id > 100");
-        assert_eq!(r.rows[0][0], Value::BigInt(0));
-        assert!(r.rows[0][1].is_null());
-    }
-
-    #[test]
-    fn having_filters_groups() {
-        let r = q("SELECT dept FROM emp GROUP BY dept HAVING SUM(pay) > 200");
-        assert_eq!(r.len(), 1);
-        assert_eq!(r.rows[0][0], Value::Varchar("ENG".into()));
-    }
-
-    #[test]
-    fn inner_join_hash_path() {
-        let r = q("SELECT e.id, d.site FROM emp e INNER JOIN dept d ON e.dept = d.name ORDER BY e.id");
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.rows[0][1], Value::Varchar("BB".into()));
-    }
-
-    #[test]
-    fn left_join_emits_nulls() {
-        let r = q("SELECT e.id, d.site FROM emp e LEFT JOIN dept d ON e.dept = d.name ORDER BY e.id");
-        assert_eq!(r.len(), 4);
-        assert!(r.rows[2][1].is_null(), "OPS has no dept row");
-    }
-
-    #[test]
-    fn non_equi_join_nested_loop() {
-        let r = q("SELECT e.id FROM emp e INNER JOIN dept d ON e.pay > 100 AND d.site = 'BB'");
-        assert_eq!(r.len(), 2);
-    }
-
-    #[test]
-    fn distinct_rows() {
-        let r = q("SELECT DISTINCT dept FROM emp ORDER BY dept");
-        assert_eq!(r.len(), 2);
-    }
-
-    #[test]
-    fn count_distinct() {
-        let r = q("SELECT COUNT(DISTINCT dept) FROM emp");
-        assert_eq!(r.scalar().unwrap(), &Value::BigInt(2));
-    }
-
-    #[test]
-    fn subquery_pipeline() {
-        let r = q("SELECT x + 1 AS y FROM (SELECT pay AS x FROM emp WHERE dept = 'ENG') s ORDER BY y");
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.rows[0][0], Value::BigInt(101));
-    }
-
-    #[test]
-    fn fromless_select() {
-        let r = q("SELECT 1 + 1");
-        assert_eq!(r.scalar().unwrap(), &Value::BigInt(2));
-    }
-
-    #[test]
-    fn case_in_projection() {
-        let r = q("SELECT id, CASE WHEN pay IS NULL THEN 'unknown' ELSE 'known' END FROM emp ORDER BY id");
-        assert_eq!(r.rows[3][1], Value::Varchar("unknown".into()));
+        _ => Some((scan_column(right, cols)?, non_null_literal(left)?)),
     }
 }

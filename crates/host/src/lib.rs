@@ -5,8 +5,9 @@
 //! isolation, undo-logged transactions with commit-time change capture
 //! (CDC), a catalog that also records accelerator bookkeeping (nickname
 //! proxies for accelerator-only tables, acceleration status), a privilege
-//! catalog for the paper's governance requirement, and a Volcano-style row
-//! executor.
+//! catalog for the paper's governance requirement, and the row-store access
+//! paths (heap scans, B-tree lookups and range scans) that the shared
+//! Volcano-style executor in `idaa-sql` runs over.
 //!
 //! Everything the paper assumes about "DB2" is modeled here; everything
 //! about "the accelerator" lives in `idaa-accel`; the federation between

@@ -6,12 +6,18 @@
 //! special register, `CALL` for (analytics) stored procedures, and
 //! `GRANT`/`REVOKE` for the governance experiments.
 //!
+//! It also holds what both engines share above the storage layer: the
+//! expression evaluator, the logical planner, and the one reference
+//! executor (`exec`) that runs every `Plan` operator over an
+//! engine-supplied scan [`exec::Source`].
+//!
 //! All AST nodes implement `Display`, producing SQL that re-parses to the
 //! same AST (verified by property tests), which the federation layer uses
 //! to ship statements to the accelerator as text.
 
 pub mod ast;
 pub mod eval;
+pub mod exec;
 pub mod lexer;
 pub mod params;
 pub mod parser;

@@ -536,34 +536,36 @@ fn plan_block(q: &Query, provider: &dyn SchemaProvider) -> Result<Plan> {
     Ok(plan)
 }
 
-/// Split an expression into its top-level AND conjuncts.
-fn split_conjuncts(e: &Expr) -> Vec<Expr> {
+/// Split an expression into its top-level AND conjuncts, left to right.
+/// The one conjunct splitter: planner pushdown, both engines' scans, join
+/// key extraction and routing all use it.
+pub fn split_conjuncts(e: &Expr) -> Vec<&Expr> {
     match e {
         Expr::Binary { left, op: crate::ast::BinaryOp::And, right } => {
             let mut out = split_conjuncts(left);
             out.extend(split_conjuncts(right));
             out
         }
-        other => vec![other.clone()],
+        other => vec![other],
     }
 }
 
 /// AND-fold a list of conjuncts back into one predicate.
-fn and_all(conjs: Vec<Expr>) -> Option<Expr> {
-    conjs.into_iter().reduce(|a, b| Expr::Binary {
-        left: Box::new(a),
-        op: crate::ast::BinaryOp::And,
-        right: Box::new(b),
-    })
+pub fn and_all(conjs: Vec<Expr>) -> Option<Expr> {
+    conjs.into_iter().reduce(Expr::and)
+}
+
+/// Name resolution over a node's output columns.
+pub fn resolver_of(cols: &[PlanCol]) -> crate::eval::FlatResolver {
+    crate::eval::FlatResolver::new(
+        cols.iter().map(|c| (c.qualifier.clone(), c.name.clone())).collect(),
+    )
 }
 
 /// Does `conj` bind cleanly (every column resolved, unambiguously) against
 /// one join input's columns?
 fn binds_against(conj: &Expr, cols: &[PlanCol]) -> bool {
-    let resolver = crate::eval::FlatResolver::new(
-        cols.iter().map(|c| (c.qualifier.clone(), c.name.clone())).collect(),
-    );
-    crate::eval::bind(conj, &resolver).is_ok()
+    crate::eval::bind(conj, &resolver_of(cols)).is_ok()
 }
 
 /// Join predicate pushdown: move WHERE conjuncts that reference columns of
@@ -591,14 +593,14 @@ pub fn push_filters_below_joins(plan: Plan) -> Plan {
     let mut to_right: Vec<Expr> = Vec::new();
     let mut residual: Vec<Expr> = Vec::new();
     for conj in split_conjuncts(&predicate) {
-        let on_l = binds_against(&conj, &lcols);
-        let on_r = binds_against(&conj, &rcols);
+        let on_l = binds_against(conj, &lcols);
+        let on_r = binds_against(conj, &rcols);
         if on_l && !on_r {
-            to_left.push(conj);
+            to_left.push(conj.clone());
         } else if on_r && !on_l && kind == JoinKind::Inner {
-            to_right.push(conj);
+            to_right.push(conj.clone());
         } else {
-            residual.push(conj);
+            residual.push(conj.clone());
         }
     }
     let new_left = apply_pushed_filter(*left, to_left);
@@ -618,14 +620,9 @@ fn apply_pushed_filter(child: Plan, preds: Vec<Expr>) -> Plan {
     let child = match and_all(preds) {
         None => child,
         Some(p) => match child {
-            Plan::Filter { input, predicate } => Plan::Filter {
-                input,
-                predicate: Expr::Binary {
-                    left: Box::new(predicate),
-                    op: crate::ast::BinaryOp::And,
-                    right: Box::new(p),
-                },
-            },
+            Plan::Filter { input, predicate } => {
+                Plan::Filter { input, predicate: predicate.and(p) }
+            }
             other => Plan::Filter { input: Box::new(other), predicate: p },
         },
     };

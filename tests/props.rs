@@ -472,6 +472,12 @@ proptest! {
             // identically on both engines.
             "SELECT x.a, y.a FROM t AS x LEFT JOIN t AS y ON x.g = y.g \
              WHERE x.a > 900 ORDER BY x.a, y.a LIMIT 60",
+            // Non-equi ON (nested-loop join), LEFT so unmatched rows
+            // null-extend, and DISTINCT over an equi-join.
+            "SELECT x.a, x.b, y.a FROM t AS x LEFT JOIN t AS y \
+             ON x.b < y.b AND y.a < 100 WHERE x.a > 800 ORDER BY 1, 2, 3",
+            "SELECT DISTINCT x.g, y.b FROM t AS x INNER JOIN t AS y ON x.a = y.a \
+             WHERE y.b < 20 ORDER BY 1, 2",
         ] {
             idaa.execute(&mut s, "SET CURRENT QUERY ACCELERATION = NONE").unwrap();
             let host = idaa.query(&mut s, q).unwrap();

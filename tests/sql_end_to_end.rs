@@ -393,6 +393,35 @@ fn explain_analyze_point_lookup_golden() {
     assert!(!text.iter().any(|l| l.contains("transfer")), "{text:?}");
 }
 
+/// The host runs the same reference executor as the accelerator, so its
+/// executed spans show the same operator decisions: `Limit(Sort)` fuses
+/// into a top-K selection (the SORT span carries `fused=true`), and an
+/// equi-join probes through a Bloom guard (`bloom_skipped=`).
+#[test]
+fn host_routed_spans_show_fused_top_k_and_bloom_guarded_joins() {
+    let (idaa, mut s) = system();
+    seed_sales(&idaa, &mut s, 200);
+    let analyze = |s: &mut idaa::Session, q: &str| -> Vec<String> {
+        let text = plan_lines(&idaa.query(s, &format!("EXPLAIN ANALYZE {q}")).unwrap());
+        assert_eq!(text[0], "ROUTE: Host (CURRENT QUERY ACCELERATION = NONE)", "{text:?}");
+        text
+    };
+    let text = analyze(&mut s, "SELECT id, qty FROM sales ORDER BY qty DESC, id FETCH FIRST 5 ROWS ONLY");
+    let limit_at = text.iter().position(|l| l.contains("op=LIMIT")).expect("limit span");
+    let sort = text.iter().position(|l| l.contains("op=SORT")).expect("sort span");
+    assert_eq!(sort, limit_at + 1, "SORT renders directly under LIMIT: {text:?}");
+    assert!(text[limit_at].contains("rows=5"), "{text:?}");
+    assert!(text[sort].contains("fused=true") && !text[sort].contains("rows="), "{text:?}");
+
+    let text = analyze(
+        &mut s,
+        "SELECT a.id, b.qty FROM sales a INNER JOIN sales b ON a.id = b.id \
+         WHERE b.qty > 2 ORDER BY a.id",
+    );
+    let join = text.iter().find(|l| l.contains("op=Inner JOIN")).unwrap_or_else(|| panic!("{text:?}"));
+    assert!(join.contains("bloom_skipped="), "{text:?}");
+}
+
 #[test]
 fn explain_analyze_offloaded_join_aggregate_shows_transfers_and_rows() {
     let (idaa, mut s) = system();
